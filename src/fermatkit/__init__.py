@@ -25,13 +25,12 @@ from .forms import (
 )
 from .kernel import digit_count, divisors, gcd, isqrt, modpow
 from .mersenne import (
-    MersenneNumber,
     OrderRecord,
     divisibility_conjecture_check,
     exponent_progression,
     first_proposition_witness,
     flt_check,
-    mersenne,
+    is_mersenne_prime,
     order,
     second_proposition_check,
 )
@@ -45,7 +44,7 @@ from .perfect import (
     frenicle_scan,
     is_perfect,
 )
-from .primes import PrimeTable, is_prime, primes_in_classes, primes_up_to, sieve
+from .primes import is_prime, primes_in_classes, primes_up_to
 from .replay import (
     ReplayItem,
     ReplayReport,

@@ -18,7 +18,7 @@ from .factoring import (
 )
 from .forms import euler_refined_class, generalized_class
 from .kernel import isqrt
-from .mersenne import divisibility_conjecture_check, flt_check, order
+from .mersenne import divisibility_conjecture_check, flt_check, mersenne, order
 from .perfect import MERSENNE_PRIME, IMPOSTER, frenicle_scan
 from .primes import primes_in_classes, primes_up_to
 from .replay import (
@@ -160,7 +160,7 @@ def _cmd_verify_flt(args):
 def _cmd_candidates(args):
     q = args.q
     cls = euler_refined_class(q) if args.refined else generalized_class(q)
-    limit = args.limit if args.limit is not None else isqrt((1 << q) - 1)
+    limit = args.limit if args.limit is not None else isqrt(mersenne(q))
     found = primes_in_classes(limit, cls)
     residues = ", ".join(str(r) for r in sorted(cls.residues))
     print(f"class for M{q}: residues {residues} mod {cls.modulus}")

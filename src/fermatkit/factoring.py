@@ -2,10 +2,10 @@
 
 The pipeline mirrors the 1640 method: primes of 2**d - 1 for proper
 divisors d of n are divided out first (to full multiplicity), then the
-remaining cofactor is attacked only with prime candidates from its
-admissible residue class, in increasing order. A cofactor that survives
-all candidates up to its square root is prime. ``factor_nat`` is the
-independent plain-trial-division oracle.
+remaining cofactor is attacked only with the primes of its admissible
+residue class, in increasing order, as ``primes.class_primes`` walks
+them. A cofactor that survives all candidates up to its square root is
+prime. ``factor_nat`` is the independent plain-trial-division oracle.
 """
 
 import threading
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .forms import euler_refined_class, generalized_class
 from .kernel import divisors, isqrt
-from .primes import is_prime, primes_up_to
+from .mersenne import mersenne
+from .primes import class_primes, is_prime, primes_up_to
 
 COMPLETE = "complete"
 PARTIAL = "partial"
@@ -96,18 +97,6 @@ def clear_cache():
         _memo.clear()
 
 
-def _prime_candidates(cls):
-    """Prime candidates in the class, strictly increasing, unbounded."""
-    residues = sorted(cls.residues)
-    k = 0
-    while True:
-        for r in residues:
-            c = k * cls.modulus + r
-            if c >= 2 and is_prime(c):
-                yield c
-        k += 1
-
-
 def factor_mersenne(n, budget=None, refined=True):
     """Factor 2**n - 1; returns (Factorization, FactorTrace).
 
@@ -133,7 +122,7 @@ def factor_mersenne(n, budget=None, refined=True):
 
 
 def _factor_mersenne_uncached(n, budget, refined):
-    value = (1 << n) - 1
+    value = mersenne(n)
     cofactor = value
     steps = []
     counts = {}
@@ -161,7 +150,7 @@ def _factor_mersenne_uncached(n, budget, refined):
             cls = euler_refined_class(n)
         else:
             cls = generalized_class(n)
-        for c in _prime_candidates(cls):
+        for c in class_primes(cls):
             limit = isqrt(cofactor)
             if c > limit:
                 # Every prime divisor of the primitive cofactor lies in

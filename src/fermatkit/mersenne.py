@@ -1,21 +1,16 @@
 """Mersenne numbers, multiplicative orders, and the 1640 propositions.
 
-The operations here are verifiers: each one recomputes a claimed
-divisibility fact from scratch and reports whether it holds, so a false
-claim would surface as a False return (or a failed cross-check), never
-be assumed.
+``mersenne`` is the one place 2**n - 1 is built, and ``is_mersenne_prime``
+(Lucas-Lehmer) the one place its primality is decided. The other
+operations are verifiers: each one recomputes a claimed divisibility
+fact from scratch and reports whether it holds, so a false claim would
+surface as a False return (or a failed cross-check), never be assumed.
 """
 
 from dataclasses import dataclass
 
 from .kernel import divisors, gcd
 from .primes import is_prime
-
-
-@dataclass(frozen=True)
-class MersenneNumber:
-    exponent: int
-    value: int
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,25 @@ def mersenne(n):
     """The Mersenne number 2**n - 1 for n >= 1."""
     if n < 1:
         raise ValueError(f"mersenne requires exponent >= 1, got {n}")
-    return MersenneNumber(n, (1 << n) - 1)
+    return (1 << n) - 1
+
+
+def is_mersenne_prime(p):
+    """Whether 2**p - 1 is prime, by the Lucas-Lehmer test.
+
+    For an odd prime p, M_p is prime iff s_(p-2) == 0 mod M_p, where
+    s_0 = 4 and s_(i+1) = s_i**2 - 2. M_2 = 3 is prime; a composite p
+    gives a composite M_p (first proposition), and p < 2 gives no prime.
+    """
+    if p == 2:
+        return True
+    if not is_prime(p):
+        return False
+    m = mersenne(p)
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def order(base, modulus):
@@ -118,7 +131,7 @@ def second_proposition_check(p):
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"requires an odd prime, got {p}")
-    direct = ((1 << p) - 2) % (2 * p) == 0
+    direct = (mersenne(p) - 1) % (2 * p) == 0
     alt = pow(2, p - 1, p) == 1
     if direct != alt:
         raise AssertionError(
@@ -136,4 +149,4 @@ def first_proposition_witness(n):
     if n < 4 or is_prime(n):
         raise ValueError(f"requires a composite n >= 4, got {n}")
     d = next(x for x in divisors(n) if x > 1)
-    return d, (1 << d) - 1
+    return d, mersenne(d)

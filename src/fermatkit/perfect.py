@@ -2,14 +2,17 @@
 
 Aliquot questions reduce to prime questions: the aliquot sum comes from
 the factorization via the multiplicative sigma formula, and even perfect
-numbers are enumerated through Euclid's pairing with Mersenne primes.
+numbers are enumerated through Euclid's pairing with Mersenne primes,
+each decided by the Lucas-Lehmer test (``mersenne.is_mersenne_prime``).
+Factoring is used only to find a witness for a composite 2**p - 1.
 """
 
 from dataclasses import dataclass
 
-from .factoring import COMPLETE, factor_mersenne, factor_nat
+from .factoring import factor_mersenne, factor_nat
 from .kernel import digit_count
-from .primes import is_prime, primes_up_to
+from .mersenne import is_mersenne_prime, mersenne
+from .primes import primes_up_to
 
 MERSENNE_PRIME = "mersenne-prime"
 IMPOSTER = "imposter"
@@ -60,9 +63,9 @@ def euclid_perfect(n):
     """PerfectRecord for exponent n when 2**n - 1 is prime, else None."""
     if n < 2:
         raise ValueError(f"euclid_perfect requires n >= 2, got {n}")
-    m = (1 << n) - 1
-    if not is_prime(m):
+    if not is_mersenne_prime(n):
         return None
+    m = mersenne(n)
     perfect = m << (n - 1)
     return PerfectRecord(n, m, perfect, digit_count(perfect))
 
@@ -72,10 +75,10 @@ def enumerate_even_perfect(limit):
     found = []
     n = 2
     while True:
-        perfect = ((1 << n) - 1) << (n - 1)
+        perfect = mersenne(n) << (n - 1)
         if perfect > limit:
             break
-        if is_prime((1 << n) - 1):
+        if is_mersenne_prime(n):
             found.append(perfect)
         n += 1
     return found
@@ -84,10 +87,12 @@ def enumerate_even_perfect(limit):
 def frenicle_scan(min_digits, max_exponent, budget=None):
     """Scan prime exponents for a perfect number with >= min_digits digits.
 
-    Each prime p <= max_exponent is classified by factoring 2**p - 1:
-    mersenne-prime (records the paired perfect number's digit count),
-    imposter (records the smallest witness factor), or unresolved when a
-    budget-capped scan found nothing either way.
+    Each prime p <= max_exponent is classified by the Lucas-Lehmer test
+    as mersenne-prime (records the paired perfect number's digit count)
+    or composite. A composite 2**p - 1 is factored under the budget: it
+    is an imposter (records the smallest witness factor) when a factor
+    turns up, and unresolved (composite, no witness within the budget)
+    otherwise.
     """
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
@@ -96,15 +101,14 @@ def frenicle_scan(min_digits, max_exponent, budget=None):
     examined = []
     outcome = None
     for p in primes_up_to(max_exponent):
+        record = euclid_perfect(p)
+        if record is not None:
+            examined.append(ExponentVerdict(p, MERSENNE_PRIME, digits=record.digits))
+            if outcome is None and record.digits >= min_digits:
+                outcome = record
+            continue
         fact, _trace = factor_mersenne(p, budget)
-        m = (1 << p) - 1
-        if fact.status == COMPLETE and fact.factors == ((m, 1),):
-            perfect = m << (p - 1)
-            digits = digit_count(perfect)
-            examined.append(ExponentVerdict(p, MERSENNE_PRIME, digits=digits))
-            if outcome is None and digits >= min_digits:
-                outcome = PerfectRecord(p, m, perfect, digits)
-        elif fact.factors:
+        if fact.factors:
             examined.append(ExponentVerdict(p, IMPOSTER, witness=fact.factors[0][0]))
         else:
             examined.append(ExponentVerdict(p, UNRESOLVED))

@@ -1,33 +1,19 @@
 """Prime generation and deterministic primality testing.
 
-A single module-level sieve cache backs everything. It grows on demand
-(doubling until sufficient) and is rebuilt as a fresh list under a lock,
-so concurrent readers only ever see complete tables. Primality is decided
-by trial division against sieve primes up to the square root: everything
-in scope is small enough that no probabilistic test is needed.
+A single module-level sieve cache backs ``primes_up_to`` and ``is_prime``.
+It grows on demand (doubling until sufficient) and is rebuilt as a fresh
+list under a lock, so concurrent readers only ever see complete tables.
+Primality is decided by trial division against sieve primes up to the
+square root: everything in scope is small enough that no probabilistic
+test is needed. ``class_primes`` is the one walk over the primes of a
+residue class; it tests each member k*m + r and sieves nothing up front.
 """
 
 import bisect
+import itertools
 import threading
-from dataclasses import dataclass
 
 from .kernel import isqrt
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, strictly increasing."""
-
-    limit: int
-    primes: tuple
-
-    @property
-    def count(self):
-        return len(self.primes)
-
-    def __contains__(self, n):
-        i = bisect.bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
 
 
 def _sieve_list(limit):
@@ -61,13 +47,6 @@ def primes_up_to(limit):
         return _cached_primes[:hi]
 
 
-def sieve(limit):
-    """Build a PrimeTable of all primes <= limit (limit >= 2)."""
-    if limit < 2:
-        raise ValueError(f"sieve requires limit >= 2, got {limit}")
-    return PrimeTable(limit, tuple(primes_up_to(limit)))
-
-
 def is_prime(n):
     """True iff n is prime, by trial division up to isqrt(n)."""
     if n < 2:
@@ -78,10 +57,24 @@ def is_prime(n):
     return True
 
 
-def primes_in_classes(limit, classes):
-    """Primes p <= limit with p mod classes.modulus in classes.residues."""
+def class_primes(classes, limit=None):
+    """Primes p with p mod classes.modulus in classes.residues, ascending.
+
+    Walks k*modulus + r for k = 0, 1, ... and each residue r in order,
+    stopping past limit; with no limit the walk is unbounded.
+    """
     if not classes.residues:
         raise ValueError("candidate class has an empty residue set")
-    modulus = classes.modulus
-    residues = set(classes.residues)
-    return [p for p in primes_up_to(limit) if p % modulus in residues]
+    residues = sorted(classes.residues)
+    for base in itertools.count(0, classes.modulus):
+        for r in residues:
+            c = base + r
+            if limit is not None and c > limit:
+                return
+            if is_prime(c):
+                yield c
+
+
+def primes_in_classes(limit, classes):
+    """Primes p <= limit with p mod classes.modulus in classes.residues."""
+    return list(class_primes(classes, limit))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .factoring import PARTIAL, factor_mersenne
 from .forms import euler_refined_class
 from .kernel import digit_count
+from .mersenne import mersenne
 from .primes import is_prime, primes_in_classes, primes_up_to
 
 
@@ -116,7 +117,7 @@ def replay_m37():
     tried = trace.candidates_tried()
     hits = trace.hits()
     cofactor = 616318177
-    perfect_candidate = ((1 << 37) - 1) << 36
+    perfect_candidate = mersenne(37) << 36
     triples = [
         ("first candidate", str(tried[0]) if tried else "none", "149"),
         ("divisor found", str(hits[0]) if hits else "none", "223"),
@@ -137,7 +138,7 @@ def replay_m37():
 
 def replay_m31():
     """Euler's scan: 84 refined candidates up to 46339, none divide M31."""
-    m31 = (1 << 31) - 1
+    m31 = mersenne(31)
     cls = euler_refined_class(31)
     residue_text = "mod {}: {}".format(
         cls.modulus, ", ".join(str(r) for r in sorted(cls.residues))

@@ -123,7 +123,7 @@ def test_progression_equivalence():
 def test_factorizer_oracle_equivalence():
     for n in range(2, 41):
         pipeline, _ = factor_mersenne(n)
-        oracle = factor_nat(mersenne(n).value)
+        oracle = factor_nat(mersenne(n))
         assert pipeline.status == "complete"
         assert pipeline.prime_multiset() == oracle.prime_multiset(), n
 
@@ -155,7 +155,7 @@ def test_sophie_germain_criterion():
     assert sophie_germain_divisor(13) is None
     assert sophie_germain_divisor(29) is None
     for p, q in [(3, 7), (11, 23), (23, 47), (83, 167), (131, 263)]:
-        assert mersenne(p).value % q == 0
+        assert mersenne(p) % q == 0
 
 
 @criterion(11, "Frenicle challenge: 31 near-miss at 19 digits, 37 imposter")

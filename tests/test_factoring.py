@@ -72,7 +72,7 @@ class TestFactorMersenne:
     def test_oracle_equivalence_small(self):
         for n in range(2, 27):
             pipeline, _ = factor_mersenne(n)
-            oracle = factor_nat(mersenne(n).value)
+            oracle = factor_nat(mersenne(n))
             assert pipeline.prime_multiset() == oracle.prime_multiset()
 
     def test_unrefined_matches_refined(self):
@@ -132,7 +132,7 @@ class TestBudget:
         fact, trace = factor_mersenne(37, budget=200)
         assert fact.status == PARTIAL
         assert fact.factors == ()
-        assert fact.unresolved_cofactor == mersenne(37).value
+        assert fact.unresolved_cofactor == mersenne(37)
         assert trace.steps[-1].rule == BUDGET_EXHAUSTED
         assert trace.steps[-1].value == 200
 

@@ -131,7 +131,7 @@ class TestSophieGermainDivisor:
         for p in primes_up_to(200):
             q = sophie_germain_divisor(p)
             if q is not None:
-                assert mersenne(p).value % q == 0
+                assert mersenne(p) % q == 0
 
 
 class TestClassSoundness:

@@ -1,14 +1,19 @@
+import types
+
 import pytest
 
+import fermatkit
 from fermatkit.mersenne import (
     divisibility_conjecture_check,
     exponent_progression,
     first_proposition_witness,
     flt_check,
+    is_mersenne_prime,
     mersenne,
     order,
     second_proposition_check,
 )
+from fermatkit.primes import is_prime
 
 
 class TestMersenne:
@@ -16,15 +21,33 @@ class TestMersenne:
         "n,value", [(1, 1), (11, 2047), (37, 137438953471)]
     )
     def test_values(self, n, value):
-        assert mersenne(n).value == value
+        assert mersenne(n) == value
 
     def test_bit_length_equals_exponent(self):
         for n in range(1, 65):
-            assert mersenne(n).value.bit_length() == n
+            assert mersenne(n).bit_length() == n
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mersenne(0)
+
+    def test_package_attribute_is_the_module(self):
+        assert isinstance(fermatkit.mersenne, types.ModuleType)
+        assert fermatkit.mersenne.mersenne(5) == 31
+
+
+class TestIsMersennePrime:
+    def test_matches_trial_division(self):
+        for p in range(2, 41):
+            assert is_mersenne_prime(p) == is_prime(mersenne(p)), p
+
+    def test_exponents_up_to_1279(self):
+        found = [p for p in range(1280) if is_mersenne_prime(p)]
+        assert found == [2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279]
+
+    def test_non_prime_exponents(self):
+        for p in (-3, 0, 1, 4, 9, 11 * 11):
+            assert not is_mersenne_prime(p)
 
 
 class TestOrder:
@@ -130,7 +153,7 @@ class TestSecondProposition:
         for p in primes_up_to(10**4):
             if p == 2:
                 continue
-            direct = (mersenne(p).value - 1) % (2 * p) == 0
+            direct = (mersenne(p) - 1) % (2 * p) == 0
             alt = pow(2, p - 1, p) == 1
             assert direct == alt
             assert second_proposition_check(p) == direct
@@ -147,7 +170,7 @@ class TestFirstProposition:
                 d, factor = first_proposition_witness(n)
             except ValueError:
                 continue
-            value = mersenne(n).value
+            value = mersenne(n)
             assert n % d == 0 and 1 < d < n
             assert value % factor == 0 and 1 < factor < value
 
@@ -161,10 +184,10 @@ class TestFirstProposition:
 class TestGeometricSumDivisibility:
     def test_smaller_exponents_divide(self):
         for n in range(1, 65):
-            big = mersenne(n).value
+            big = mersenne(n)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    assert big % mersenne(d).value == 0
+                    assert big % mersenne(d) == 0
 
 
 class TestLemma:

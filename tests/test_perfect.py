@@ -61,6 +61,11 @@ class TestEuclidPerfect:
         with pytest.raises(ValueError):
             euclid_perfect(1)
 
+    def test_thirty_seven_digit_record(self):
+        record = euclid_perfect(61)
+        assert record.mersenne_prime == 2**61 - 1
+        assert record.digits == 37
+
     def test_records_are_perfect(self):
         for n in (2, 3, 5, 7, 13):
             record = euclid_perfect(n)
@@ -77,6 +82,11 @@ class TestEnumerateEvenPerfect:
 
     def test_below_smallest(self):
         assert enumerate_even_perfect(5) == []
+
+    def test_nine_below_ten_to_the_forty(self):
+        found = enumerate_even_perfect(10**40)
+        assert len(found) == 9
+        assert found[-1] == (2**61 - 1) << 60
 
 
 class TestFrenicleScan:
@@ -117,6 +127,16 @@ class TestFrenicleScan:
         verdicts = {v.exponent: v.verdict for v in report.examined}
         # 2**37 - 1 has no candidate at or below 2, so nothing is learned.
         assert verdicts[37] == UNRESOLVED
+
+    def test_budget_does_not_hide_mersenne_primes(self):
+        # Primality is decided by Lucas-Lehmer; the budget only limits the
+        # search for a witness of a composite 2**p - 1.
+        report = frenicle_scan(20, 61, budget=10**4)
+        verdicts = {v.exponent: v.verdict for v in report.examined}
+        assert verdicts[31] == MERSENNE_PRIME
+        assert verdicts[61] == MERSENNE_PRIME
+        assert report.outcome.exponent == 61
+        assert report.outcome.digits == 37
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
 import pytest
 
-from fermatkit.forms import CandidateClass, euler_refined_class
+from fermatkit.forms import CandidateClass, euler_refined_class, generalized_class
 from fermatkit.primes import (
+    class_primes,
     is_prime,
     primes_in_classes,
     primes_up_to,
-    sieve,
 )
 
 
@@ -17,27 +17,23 @@ def brute_is_prime(n):
 
 class TestSieve:
     def test_textbook_base_case(self):
-        assert sieve(10).primes == (2, 3, 5, 7)
+        assert primes_up_to(10) == [2, 3, 5, 7]
 
     def test_prime_count_below_46339(self):
-        assert sieve(46338).count == 4792
+        assert len(primes_up_to(46338)) == 4792
 
     def test_count_up_to_30(self):
-        assert sieve(30).count == 10
-
-    def test_small_limit_rejected(self):
-        with pytest.raises(ValueError):
-            sieve(1)
+        assert len(primes_up_to(30)) == 10
 
     def test_strictly_increasing_and_prime(self):
-        table = sieve(1000)
-        assert list(table.primes) == sorted(set(table.primes))
-        assert all(brute_is_prime(p) for p in table.primes)
+        primes = primes_up_to(1000)
+        assert primes == sorted(set(primes))
+        assert all(brute_is_prime(p) for p in primes)
 
     def test_membership(self):
-        table = sieve(100)
-        assert 97 in table
-        assert 91 not in table
+        primes = primes_up_to(100)
+        assert 97 in primes
+        assert 91 not in primes
 
 
 class TestIsPrime:
@@ -52,7 +48,7 @@ class TestIsPrime:
         assert is_prime(178481)
 
     def test_agrees_with_sieve_to_ten_thousand(self):
-        members = set(sieve(10**4).primes)
+        members = set(primes_up_to(10**4))
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
 
@@ -83,8 +79,38 @@ class TestPrimesInClasses:
 
     def test_definitional_equivalence_with_sieve_filter(self):
         cls = euler_refined_class(31)
-        expected = [p for p in sieve(10**4).primes if p % 248 in (1, 63)]
+        expected = [p for p in primes_up_to(10**4) if p % 248 in (1, 63)]
         assert primes_in_classes(10**4, cls) == expected
+
+    def test_matches_sieve_filter_for_every_small_class(self):
+        # The sieve-then-filter rule the class walk replaced, as oracle.
+        def sieve_filter(limit, cls):
+            return [p for p in primes_up_to(limit) if p % cls.modulus in cls.residues]
+
+        for q in range(2, 41):
+            classes = [generalized_class(q)]
+            if q % 2 == 1 and is_prime(q):
+                classes.append(euler_refined_class(q))
+            for cls in classes:
+                assert primes_in_classes(10**4, cls) == sieve_filter(10**4, cls)
+
+    def test_class_without_primes_is_empty(self):
+        # Every member of 4 mod 8 is even and at least 4.
+        assert primes_in_classes(10**4, CandidateClass(8, frozenset({4}), 2)) == []
+
+
+class TestClassPrimes:
+    def test_unbounded_walk_continues_the_bounded_one(self):
+        cls = euler_refined_class(31)
+        walk = class_primes(cls)
+        bounded = primes_in_classes(46339, cls)
+        assert [next(walk) for _ in bounded] == bounded
+        assert next(walk) > 46339
+
+    def test_bound_is_inclusive(self):
+        cls = generalized_class(11)
+        assert list(class_primes(cls, 23)) == [23]
+        assert list(class_primes(cls, 22)) == []
 
 
 def test_cache_growth_is_consistent():
