@@ -2,19 +2,21 @@
 
 The pipeline mirrors the 1640 method: primes of 2**d - 1 for proper
 divisors d of n are divided out first (to full multiplicity), then the
-remaining cofactor is attacked only with the primes of its admissible
-residue class, in increasing order, as ``primes.class_primes`` walks
-them. A cofactor that survives all candidates up to its square root is
+remaining cofactor is divided only by the primes of its admissible
+residue class, in increasing order, as the segmented class sieve
+``primes.class_primes`` yields them, so no composite candidate is ever
+tried. A cofactor that survives all candidates up to its square root is
 prime. ``factor_nat`` is the independent plain-trial-division oracle.
 """
 
+import itertools
 import threading
 from dataclasses import dataclass
 
 from .forms import euler_refined_class, generalized_class
 from .kernel import divisors, isqrt
 from .mersenne import mersenne
-from .primes import class_primes, is_prime, primes_up_to
+from .primes import class_primes, is_prime, shared_primes
 
 COMPLETE = "complete"
 PARTIAL = "partial"
@@ -73,7 +75,8 @@ def factor_nat(n):
         raise ValueError(f"factor_nat requires n >= 2, got {n}")
     m = n
     factors = []
-    for p in primes_up_to(isqrt(n)):
+    primes, count = shared_primes(isqrt(n))
+    for p in itertools.islice(primes, count):
         if p * p > m:
             break
         if m % p == 0:
@@ -150,8 +153,8 @@ def _factor_mersenne_uncached(n, budget, refined):
             cls = euler_refined_class(n)
         else:
             cls = generalized_class(n)
+        limit = isqrt(cofactor)
         for c in class_primes(cls):
-            limit = isqrt(cofactor)
             if c > limit:
                 # Every prime divisor of the primitive cofactor lies in
                 # the class, so an exhausted scan proves primality.
@@ -172,6 +175,7 @@ def _factor_mersenne_uncached(n, budget, refined):
                 steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
                 if cofactor == 1:
                     break
+                limit = isqrt(cofactor)
             else:
                 steps.append(TraceStep(CANDIDATE_MISS, c))
 

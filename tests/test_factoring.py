@@ -1,5 +1,6 @@
 import pytest
 
+from fermatkit import factoring
 from fermatkit.factoring import (
     BUDGET_EXHAUSTED,
     CANDIDATE_HIT,
@@ -178,3 +179,41 @@ class TestVerify:
     def test_partial_verifies(self):
         fact, _ = factor_mersenne(37, budget=223)
         assert verify(fact)
+
+
+@pytest.fixture
+def cold_memo():
+    clear_cache()
+    yield
+    clear_cache()
+
+
+class TestClassSieveScan:
+    def test_sieved_scan_matches_walk(self, cold_memo, class_walk, monkeypatch):
+        def run():
+            clear_cache()
+            return [
+                factor_mersenne(n, budget=10**5, refined=refined)
+                for n in range(2, 65)
+                for refined in (True, False)
+            ]
+
+        sieved = run()
+        monkeypatch.setattr(factoring, "class_primes", class_walk)
+        assert run() == sieved
+
+    def test_m61_completes_unbudgeted(self, cold_memo):
+        fact, trace = factor_mersenne(61)
+        assert fact.status == COMPLETE
+        assert fact.factors == ((mersenne(61), 1),)
+        assert len(trace.candidates_tried()) == 629227
+        assert trace.hits() == []
+        assert trace.steps[-1].rule == COFACTOR_PRIME
+
+    def test_m122_with_budget_returns(self, cold_memo):
+        # The unbudgeted recursion into M61 now completes within seconds.
+        fact, trace = factor_mersenne(122, budget=10**7)
+        assert fact.status == PARTIAL
+        assert fact.factors == ((3, 1), (mersenne(61), 1))
+        assert fact.unresolved_cofactor == (2**61 + 1) // 3
+        assert trace.steps[-1].rule == BUDGET_EXHAUSTED

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fermatkit.forms import CandidateClass, euler_refined_class, generalized_class
@@ -111,6 +113,42 @@ class TestClassPrimes:
         cls = generalized_class(11)
         assert list(class_primes(cls, 23)) == [23]
         assert list(class_primes(cls, 22)) == []
+
+    def test_unbounded_sieve_matches_walk(self, class_walk):
+        # 3,000 primes cross several segment boundaries for every q.
+        for q in range(2, 129):
+            classes = [generalized_class(q)]
+            if q % 2 == 1 and is_prime(q):
+                classes.append(euler_refined_class(q))
+            for cls in classes:
+                sieved = list(itertools.islice(class_primes(cls), 3000))
+                assert sieved == list(itertools.islice(class_walk(cls), 3000)), cls
+
+    def test_every_small_bound_matches_walk(self, class_walk):
+        for q in (3, 5, 31):
+            cls = euler_refined_class(q)
+            for limit in range(301):
+                assert primes_in_classes(limit, cls) == list(class_walk(cls, limit))
+
+    @pytest.mark.parametrize(
+        "modulus,residues",
+        [(2, {0, 1}), (6, {2, 3, 5}), (9, {0, 3, 6}), (10, {1, 5})],
+    )
+    def test_residues_sharing_a_factor_with_the_modulus(
+        self, class_walk, modulus, residues
+    ):
+        # Such a residue holds at most one prime, p | gcd(r, modulus)
+        # itself; (2, {0, 1}) must still yield 2.
+        cls = CandidateClass(modulus, frozenset(residues), 2)
+        assert primes_in_classes(5000, cls) == list(class_walk(cls, 5000))
+
+    def test_empty_residues_rejected(self):
+        class Empty:
+            modulus = 8
+            residues = frozenset()
+
+        with pytest.raises(ValueError):
+            next(class_primes(Empty()))
 
 
 def test_cache_growth_is_consistent():
