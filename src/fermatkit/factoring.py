@@ -9,14 +9,13 @@ tried. A cofactor that survives all candidates up to its square root is
 prime. ``factor_nat`` is the independent plain-trial-division oracle.
 """
 
-import itertools
 import threading
 from dataclasses import dataclass
 
 from .forms import euler_refined_class, generalized_class
 from .kernel import divisors, isqrt
 from .mersenne import mersenne
-from .primes import class_primes, is_prime, shared_primes
+from .primes import class_primes, is_prime, prime_factors
 
 COMPLETE = "complete"
 PARTIAL = "partial"
@@ -71,23 +70,7 @@ class FactorTrace:
 
 def factor_nat(n):
     """Complete factorization of n >= 2 by plain trial division."""
-    if n < 2:
-        raise ValueError(f"factor_nat requires n >= 2, got {n}")
-    m = n
-    factors = []
-    primes, count = shared_primes(isqrt(n))
-    for p in itertools.islice(primes, count):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors), COMPLETE)
+    return Factorization(n, prime_factors(n), COMPLETE)
 
 
 _memo = {}

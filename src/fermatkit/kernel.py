@@ -37,10 +37,16 @@ def gcd(a, b):
 
 
 def digit_count(n):
-    """Number of base-10 digits of n >= 1, read off the decimal string."""
+    """Number of base-10 digits of n >= 1, by exact integer comparison.
+
+    k starts at most floor(log10 n), as 1233 / 4096 < log10 2, and steps up.
+    """
     if n < 1:
         raise ValueError(f"digit_count requires n >= 1, got {n}")
-    return len(str(n))
+    k = (n.bit_length() - 1) * 1233 >> 12
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
 
 
 def divisors(n):

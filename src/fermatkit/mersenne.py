@@ -5,12 +5,13 @@
 operations are verifiers: each one recomputes a claimed divisibility
 fact from scratch and reports whether it holds, so a false claim would
 surface as a False return (or a failed cross-check), never be assumed.
+``order`` finds a multiplicative order by φ reduction with an Euler check.
 """
 
 from dataclasses import dataclass
 
 from .kernel import divisors, gcd
-from .primes import is_prime
+from .primes import is_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,12 @@ def is_mersenne_prime(p):
 
 
 def order(base, modulus):
-    """Multiplicative order of base mod modulus, by iterated multiplication.
+    """Multiplicative order of base mod modulus, by φ reduction with an Euler check.
 
     Requires base >= 2, modulus >= 3, gcd(base, modulus) == 1; without
-    coprimality no power of the base is ever 1 mod the modulus.
+    coprimality no power of the base is ever 1 mod the modulus. k starts at
+    φ(modulus), checked to be a multiple of the order (Euler), and loses
+    each prime q of φ while base**(k/q) stays 1.
     """
     if base < 2:
         raise ValueError(f"order requires base >= 2, got {base}")
@@ -61,11 +64,14 @@ def order(base, modulus):
         raise ValueError(
             f"no exponent exists: gcd({base}, {modulus}) != 1"
         )
-    r = base % modulus
     k = 1
-    while r != 1:
-        r = r * base % modulus
-        k += 1
+    for p, e in prime_factors(modulus):
+        k *= p ** (e - 1) * (p - 1)
+    if pow(base, k, modulus) != 1:
+        raise AssertionError(f"Euler check fails: {base}**{k} mod {modulus} != 1")
+    for q, _ in prime_factors(k):
+        while k % q == 0 and pow(base, k // q, modulus) == 1:
+            k //= q
     return OrderRecord(base, modulus, k)
 
 
@@ -93,8 +99,9 @@ def flt_check(p, a):
 def divisibility_conjecture_check(p):
     """(k, holds): k = order of 2 mod p, holds = k divides p - 1.
 
-    Fast path scans the divisors of p - 1; if none works the conjecture
-    has failed and the order is recomputed by the plain iterative loop.
+    Scans the divisors of p - 1 for the least exponent that works; if
+    none does, Fermat's theorem has failed for p and ``order`` raises
+    AssertionError at its Euler check.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"requires an odd prime, got {p}")

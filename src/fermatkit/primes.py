@@ -71,6 +71,26 @@ def is_prime(n):
     return True
 
 
+def prime_factors(n):
+    """Ascending (prime, multiplicity) pairs of n >= 2, by trial division."""
+    if n < 2:
+        raise ValueError(f"prime_factors requires n >= 2, got {n}")
+    factors = []
+    primes, count = shared_primes(isqrt(n))
+    for p in itertools.islice(primes, count):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 # k values per segment of the class sieve: the first segment is small so
 # that a scan which stops early stays cheap, then each doubles up to the
 # cap, which bounds the sieve's memory.

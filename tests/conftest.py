@@ -24,3 +24,22 @@ def walk_class(classes, limit=None):
 @pytest.fixture
 def class_walk():
     return walk_class
+
+
+def naive_order(base, m):
+    """The linear loop order() replaced, kept as its oracle.
+
+    Multiplies by the base once per step until the power is 1 mod m, so
+    it costs the order itself; base and m must be coprime.
+    """
+    r = base % m
+    k = 1
+    while r != 1:
+        r = r * base % m
+        k += 1
+    return k
+
+
+@pytest.fixture
+def order_loop():
+    return naive_order

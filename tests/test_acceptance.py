@@ -6,6 +6,7 @@ to see the per-criterion lines.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -131,9 +132,16 @@ def test_factorizer_oracle_equivalence():
 @criterion(9, "Even perfect numbers to 10^7 match the sigma sieve")
 def test_even_perfect_numbers():
     limit = 10**7
+    # sums[n] adds every d < n dividing n: each pair d, k >= 2 with
+    # k*d <= limit once, by d for d <= s and by the multiplier k for d > s.
+    s = math.isqrt(limit)
     sums = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit // 2 + 1):
+    for d in range(1, s + 1):
         sums[2 * d :: d] += d
+    for k in range(2, limit // (s + 1) + 1):
+        sums[k * (s + 1) : k * (limit // k) + 1 : k] += np.arange(
+            s + 1, limit // k + 1
+        )
     brute = [
         int(n)
         for n in np.nonzero(sums == np.arange(limit + 1, dtype=np.int64))[0]

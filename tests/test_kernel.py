@@ -111,6 +111,14 @@ class TestDigitCount:
     def test_matches_string_length(self, n):
         assert digit_count(n) == len(str(n))
 
+    def test_powers_of_ten_and_neighbours(self):
+        # Past 4300 digits str() of an int raises, so no string is used.
+        for k in range(1, 5001):
+            power = 10**k
+            assert digit_count(power - 1) == k
+            assert digit_count(power) == k + 1
+            assert digit_count(power + 1) == k + 1
+
 
 class TestDivisors:
     def test_known_values(self):

@@ -1,8 +1,11 @@
+import math
+import random
 import types
 
 import pytest
 
 import fermatkit
+import fermatkit.mersenne as mersenne_module
 from fermatkit.mersenne import (
     divisibility_conjecture_check,
     exponent_progression,
@@ -74,6 +77,60 @@ class TestOrder:
         assert order(10, 7).order == 6
         assert order(4, 7).order == 3
 
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_matches_naive_order_to_3000(self, order_loop, base):
+        # Every coprime modulus, so odd bases meet even moduli too.
+        for m in range(3, 3001):
+            if math.gcd(base, m) == 1:
+                assert order(base, m).order == order_loop(base, m), m
+
+    def test_matches_naive_order_on_large_moduli(self, order_loop):
+        rng = random.Random(4)
+        moduli = [rng.randrange(10**5 + 1, 10**6, 2) for _ in range(50)]
+        for m in moduli:
+            assert order(2, m).order == order_loop(2, m), m
+
+    def test_prime_with_full_period(self):
+        assert order(2, 1000003).order == 1000002
+
+    @pytest.mark.parametrize(
+        "base,modulus",
+        [
+            (2, 10**9 + 7),
+            (3, 10**9 + 7),
+            (2, 10**12 + 39),
+            (10, 10**12 + 39),
+            (2, 10**12 + 1),  # 73 * 137 * 99990001
+            (3, 1000003 * 999983),
+        ],
+    )
+    def test_beyond_any_loop(self, base, modulus):
+        k = order(base, modulus).order
+        assert pow(base, k, modulus) == 1
+        for q in _prime_divisors(k):
+            assert pow(base, k // q, modulus) != 1, q
+
+    def test_euler_check_failure_raises(self, monkeypatch):
+        # A wrong factorization of the modulus gives a wrong φ.
+        monkeypatch.setattr(mersenne_module, "prime_factors", lambda n: ((n, 1),))
+        with pytest.raises(AssertionError):
+            order(2, 15)
+
+
+def _prime_divisors(n):
+    """Distinct primes of n, by trial division with every d up to sqrt(n)."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
 
 class TestFltCheck:
     @pytest.mark.parametrize("p,a", [(31, 2), (3, 2), (8191, 2), (7, 10)])
@@ -102,7 +159,7 @@ class TestDivisibilityConjecture:
         with pytest.raises(ValueError):
             divisibility_conjecture_check(15)
 
-    def test_fast_path_matches_naive_order(self):
+    def test_fast_path_matches_naive_order(self, order_loop):
         from fermatkit.primes import primes_up_to
 
         for p in primes_up_to(2000):
@@ -110,7 +167,7 @@ class TestDivisibilityConjecture:
                 continue
             k, holds = divisibility_conjecture_check(p)
             assert holds
-            assert k == order(2, p).order
+            assert k == order_loop(2, p)
 
 
 class TestExponentProgression:

@@ -66,6 +66,11 @@ class TestEuclidPerfect:
         assert record.mersenne_prime == 2**61 - 1
         assert record.digits == 37
 
+    @pytest.mark.parametrize("n,digits", [(4423, 2663), (9689, 5834)])
+    def test_thousand_digit_records(self, n, digits):
+        # 5834 digits is past the 4300-digit limit of int-to-str.
+        assert euclid_perfect(n).digits == digits
+
     def test_records_are_perfect(self):
         for n in (2, 3, 5, 7, 13):
             record = euclid_perfect(n)
