@@ -45,10 +45,10 @@ from .perfect import (
     is_perfect,
 )
 from .primes import is_prime, primes_in_classes, primes_up_to
+from .render import format_factorization
 from .replay import (
     ReplayItem,
     ReplayReport,
-    format_factorization,
     replay_all,
     replay_m23_to_m36,
     replay_m31,

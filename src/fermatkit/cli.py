@@ -1,34 +1,21 @@
-"""Command-line interface.
+"""Command-line interface: parse, call the library, print what ``render`` gives.
 
-Exit codes: 0 on success (and all replay items passing), 1 when a
-replay item or sweep finds a mismatch, 2 on usage or domain errors.
+The ``order`` line and the ``verify-flt`` sweep messages are the only text
+written here. Exit codes: 0 on success (and all replay items passing), 1
+when a replay item or sweep finds a mismatch, 2 on usage or domain errors.
 """
 
 import argparse
-import json
 import sys
 
-from .factoring import (
-    BUDGET_EXHAUSTED,
-    CANDIDATE_HIT,
-    CANDIDATE_MISS,
-    COFACTOR_PRIME,
-    PROPAGATED,
-    factor_mersenne,
-)
+from . import render
+from .factoring import factor_mersenne
 from .forms import euler_refined_class, generalized_class
 from .kernel import isqrt
 from .mersenne import divisibility_conjecture_check, flt_check, mersenne, order
-from .perfect import MERSENNE_PRIME, IMPOSTER, frenicle_scan
+from .perfect import frenicle_scan
 from .primes import primes_in_classes, primes_up_to
-from .replay import (
-    SCENARIOS,
-    factorization_to_dict,
-    format_factorization,
-    render_report,
-    replay_all,
-    report_to_dict,
-)
+from .replay import SCENARIOS, replay_all
 
 
 def _parse_bases(text):
@@ -89,43 +76,12 @@ def build_parser():
     return parser
 
 
-def _trace_line(step):
-    if step.rule == PROPAGATED:
-        return (f"inherited {step.value} from exponent {step.source} "
-                f"(multiplicity {step.multiplicity})")
-    if step.rule == CANDIDATE_MISS:
-        return f"tried {step.value}: miss"
-    if step.rule == CANDIDATE_HIT:
-        return f"tried {step.value}: hit (multiplicity {step.multiplicity})"
-    if step.rule == COFACTOR_PRIME:
-        return f"cofactor {step.value} is prime (candidates exhausted)"
-    if step.rule == BUDGET_EXHAUSTED:
-        return f"scan stopped at budget {step.value}"
-    return f"{step.rule} {step.value}"
-
-
 def _cmd_factor(args):
     fact, trace = factor_mersenne(args.n, args.budget, args.refined)
     if args.json:
-        doc = {
-            "exponent": str(args.n),
-            "factorization": factorization_to_dict(fact),
-            "trace": [
-                {
-                    "rule": step.rule,
-                    "value": str(step.value),
-                    "source": None if step.source is None else str(step.source),
-                    "multiplicity": str(step.multiplicity),
-                }
-                for step in trace.steps
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        print(render.factor_json(args.n, fact, trace))
     else:
-        print(f"M{args.n} = {fact.value} = {format_factorization(fact)}")
-        print(f"status: {fact.status}")
-        for step in trace.steps:
-            print(f"  {_trace_line(step)}")
+        sys.stdout.writelines(render.factor_lines(args.n, fact, trace))
     return 0
 
 
@@ -158,34 +114,15 @@ def _cmd_verify_flt(args):
 
 
 def _cmd_candidates(args):
-    q = args.q
-    cls = euler_refined_class(q) if args.refined else generalized_class(q)
-    limit = args.limit if args.limit is not None else isqrt(mersenne(q))
+    cls = euler_refined_class(args.q) if args.refined else generalized_class(args.q)
+    limit = args.limit if args.limit is not None else isqrt(mersenne(args.q))
     found = primes_in_classes(limit, cls)
-    residues = ", ".join(str(r) for r in sorted(cls.residues))
-    print(f"class for M{q}: residues {residues} mod {cls.modulus}")
-    print(f"{len(found)} candidate primes up to {limit}")
-    for c in found:
-        print(c)
+    sys.stdout.writelines(render.candidates_lines(args.q, cls, limit, found))
     return 0
 
 
 def _cmd_perfect(args):
-    report = frenicle_scan(args.min_digits, args.max_exponent)
-    for entry in report.examined:
-        if entry.verdict == MERSENNE_PRIME:
-            detail = f"perfect number has {entry.digits} digits"
-        elif entry.verdict == IMPOSTER:
-            detail = f"witness factor {entry.witness}"
-        else:
-            detail = "scan budget exhausted"
-        print(f"exponent {entry.exponent}: {entry.verdict} ({detail})")
-    if report.outcome is None:
-        print(f"no perfect number with at least {report.min_digits} digits")
-    else:
-        out = report.outcome
-        print(f"found: {out.perfect_number} ({out.digits} digits, "
-              f"exponent {out.exponent})")
+    print(render.challenge_text(frenicle_scan(args.min_digits, args.max_exponent)))
     return 0
 
 
@@ -195,11 +132,10 @@ def _cmd_replay(args):
     else:
         reports = [SCENARIOS[args.scenario]()]
     if args.json:
-        docs = [report_to_dict(r) for r in reports]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+        print(render.reports_json(reports))
     else:
         for report in reports:
-            print(render_report(report))
+            print(render.render_report(report))
     return 0 if all(r.overall for r in reports) else 1
 
 

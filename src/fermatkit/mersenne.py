@@ -75,18 +75,6 @@ def order(base, modulus):
     return OrderRecord(base, modulus, k)
 
 
-def _order_dividing(base, n, modulus):
-    """Least divisor d of n with base**d == 1 mod modulus, or None.
-
-    Any exponent e with base**e == 1 is a multiple of the true order, so
-    when this finds a hit the smallest hit *is* the order.
-    """
-    for d in divisors(n):
-        if pow(base, d, modulus) == 1:
-            return d
-    return None
-
-
 def flt_check(p, a):
     """Whether p divides a**(p-1) - 1, for prime p not dividing a."""
     if not is_prime(p):
@@ -99,15 +87,12 @@ def flt_check(p, a):
 def divisibility_conjecture_check(p):
     """(k, holds): k = order of 2 mod p, holds = k divides p - 1.
 
-    Scans the divisors of p - 1 for the least exponent that works; if
-    none does, Fermat's theorem has failed for p and ``order`` raises
-    AssertionError at its Euler check.
+    k comes from ``order``, whose Euler check raises AssertionError if
+    Fermat's theorem fails for p (2**(p-1) not 1 mod p).
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"requires an odd prime, got {p}")
-    k = _order_dividing(2, p - 1, p)
-    if k is None:
-        k = order(2, p).order
+    k = order(2, p).order
     return k, (p - 1) % k == 0
 
 

@@ -72,20 +72,27 @@ def is_prime(n):
 
 
 def prime_factors(n):
-    """Ascending (prime, multiplicity) pairs of n >= 2, by trial division."""
+    """Ascending (prime, multiplicity) pairs of n >= 2, by trial division.
+
+    Tries the cached primes first; grows the sieve only while p*p <= the cofactor.
+    """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
     factors = []
-    primes, count = shared_primes(isqrt(n))
-    for p in itertools.islice(primes, count):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
+    tried = bound = 0
+    while bound < isqrt(n):
+        bound = max(2 * bound, _cached_limit, 1 << 10)
+        primes, count = shared_primes(min(bound, isqrt(n)))
+        for p in itertools.islice(primes, tried, count):
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors.append((p, e))
+        tried = count
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)

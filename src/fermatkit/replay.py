@@ -3,16 +3,17 @@
 Expected values are embedded literal constants (the historically
 reported factorizations, counts, and digit tallies), never recomputed,
 so a regression in the pipeline cannot silently rewrite what the run is
-checked against.
+checked against. It only recomputes and diffs; ``render`` writes the text.
 """
 
 from dataclasses import dataclass
 
-from .factoring import PARTIAL, factor_mersenne
+from .factoring import factor_mersenne
 from .forms import euler_refined_class
 from .kernel import digit_count
 from .mersenne import mersenne
 from .primes import is_prime, primes_in_classes, primes_up_to
+from .render import format_factorization, format_residues
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,6 @@ class ReplayReport:
     @property
     def overall(self):
         return all(item.passed for item in self.items)
-
-
-def format_factorization(f):
-    """Ascending 'p^e·...' with exponent 1 elided; primes flagged as such."""
-    if len(f.factors) == 1 and f.factors[0] == (f.value, 1):
-        return f"{f.value} (prime)"
-    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
-    if f.status == PARTIAL:
-        parts.append(f"{f.unresolved_cofactor} (unresolved)")
-    return "·".join(parts)
 
 
 def _build_report(scenario, triples):
@@ -140,9 +131,7 @@ def replay_m31():
     """Euler's scan: 84 refined candidates up to 46339, none divide M31."""
     m31 = mersenne(31)
     cls = euler_refined_class(31)
-    residue_text = "mod {}: {}".format(
-        cls.modulus, ", ".join(str(r) for r in sorted(cls.residues))
-    )
+    residue_text = f"mod {cls.modulus}: {format_residues(cls)}"
     prime_count = len(primes_up_to(46338))
     candidates = primes_in_classes(46339, cls)
     hits = [c for c in candidates if pow(2, 31, c) == 1]
@@ -181,41 +170,3 @@ SCENARIOS = {
 
 def replay_all():
     return [run() for run in SCENARIOS.values()]
-
-
-def report_to_dict(report):
-    return {
-        "scenario": report.scenario,
-        "items": [
-            {
-                "label": item.label,
-                "computed": item.computed,
-                "expected": item.expected,
-                "pass": item.passed,
-            }
-            for item in report.items
-        ],
-        "overall": report.overall,
-    }
-
-
-def factorization_to_dict(f):
-    """JSON form with every number as a decimal string."""
-    return {
-        "value": str(f.value),
-        "factors": [{"p": str(p), "e": str(e)} for p, e in f.factors],
-        "status": f.status,
-        "cofactor": str(f.unresolved_cofactor),
-    }
-
-
-def render_report(report):
-    lines = [f"scenario: {report.scenario}"]
-    for item in report.items:
-        mark = "pass" if item.passed else "FAIL"
-        line = f"  [{mark}] {item.label}: {item.computed}"
-        if not item.passed:
-            line += f" (expected {item.expected})"
-        lines.append(line)
-    lines.append(f"overall: {'pass' if report.overall else 'FAIL'}")
-    return "\n".join(lines)

@@ -147,3 +147,125 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Exact stdout of representative commands, so any change to a text or
+# JSON form shows up as a diff rather than slipping past a substring check.
+GOLDEN_STDOUT = {
+    "factor 12": """\
+M12 = 4095 = 3^2·5·7·13
+status: complete
+  inherited 3 from exponent 2 (multiplicity 2)
+  inherited 5 from exponent 4 (multiplicity 1)
+  inherited 7 from exponent 3 (multiplicity 1)
+  cofactor 13 is prime (candidates exhausted)
+""",
+    "factor 11 --json": """\
+{
+  "exponent": "11",
+  "factorization": {
+    "value": "2047",
+    "factors": [
+      {
+        "p": "23",
+        "e": "1"
+      },
+      {
+        "p": "89",
+        "e": "1"
+      }
+    ],
+    "status": "complete",
+    "cofactor": "1"
+  },
+  "trace": [
+    {
+      "rule": "candidate-hit",
+      "value": "23",
+      "source": null,
+      "multiplicity": "1"
+    },
+    {
+      "rule": "cofactor-prime",
+      "value": "89",
+      "source": null,
+      "multiplicity": "1"
+    }
+  ]
+}
+""",
+    "factor 37 --budget 200": """\
+M37 = 137438953471 = 137438953471 (unresolved)
+status: partial
+  scan stopped at budget 200
+""",
+    "replay m37": """\
+scenario: m37
+  [pass] first candidate: 149
+  [pass] divisor found: 223
+  [pass] factorization: 223·616318177
+  [pass] cofactor: prime
+  [pass] perfect-candidate digits: 22
+overall: pass
+""",
+    "replay m37 --json": """\
+{
+  "scenario": "m37",
+  "items": [
+    {
+      "label": "first candidate",
+      "computed": "149",
+      "expected": "149",
+      "pass": true
+    },
+    {
+      "label": "divisor found",
+      "computed": "223",
+      "expected": "223",
+      "pass": true
+    },
+    {
+      "label": "factorization",
+      "computed": "223\\u00b7616318177",
+      "expected": "223\\u00b7616318177",
+      "pass": true
+    },
+    {
+      "label": "cofactor",
+      "computed": "prime",
+      "expected": "prime",
+      "pass": true
+    },
+    {
+      "label": "perfect-candidate digits",
+      "computed": "22",
+      "expected": "22",
+      "pass": true
+    }
+  ],
+  "overall": true
+}
+""",
+    "perfect --min-digits 20 --max-exponent 37": """\
+exponent 2: mersenne-prime (perfect number has 1 digits)
+exponent 3: mersenne-prime (perfect number has 2 digits)
+exponent 5: mersenne-prime (perfect number has 3 digits)
+exponent 7: mersenne-prime (perfect number has 4 digits)
+exponent 11: imposter (witness factor 23)
+exponent 13: mersenne-prime (perfect number has 8 digits)
+exponent 17: mersenne-prime (perfect number has 10 digits)
+exponent 19: mersenne-prime (perfect number has 12 digits)
+exponent 23: imposter (witness factor 47)
+exponent 29: imposter (witness factor 233)
+exponent 31: mersenne-prime (perfect number has 19 digits)
+exponent 37: imposter (witness factor 223)
+no perfect number with at least 20 digits
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_STDOUT[command]

@@ -10,6 +10,7 @@ from fermatkit.perfect import (
     frenicle_scan,
     is_perfect,
 )
+from fermatkit.render import challenge_text
 
 
 def brute_aliquot(n):
@@ -142,6 +143,13 @@ class TestFrenicleScan:
         assert verdicts[61] == MERSENNE_PRIME
         assert report.outcome.exponent == 61
         assert report.outcome.digits == 37
+
+    def test_every_verdict_renders(self):
+        text = challenge_text(frenicle_scan(20, 61, budget=10**4))
+        assert "exponent 31: mersenne-prime (perfect number has 19 digits)" in text
+        assert "exponent 43: imposter (witness factor 431)" in text
+        assert "exponent 59: unresolved (scan budget exhausted)" in text
+        assert text.endswith("(37 digits, exponent 61)")
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

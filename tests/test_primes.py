@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+from fermatkit import primes
 from fermatkit.forms import CandidateClass, euler_refined_class, generalized_class
+from fermatkit.mersenne import order
 from fermatkit.primes import (
     class_primes,
     is_prime,
+    prime_factors,
     primes_in_classes,
     primes_up_to,
 )
@@ -156,3 +159,14 @@ def test_cache_growth_is_consistent():
     large = primes_up_to(10**5)
     assert large[: len(small)] == small
     assert primes_up_to(100) == small
+
+
+def test_smooth_numbers_leave_the_sieve_small(monkeypatch):
+    # From a cold cache: 2**44 loses its only prime at once, so nothing
+    # past the first sieve (1024) is needed, not isqrt(2**44) = 4,194,304.
+    monkeypatch.setattr(primes, "_cached_limit", 0)
+    monkeypatch.setattr(primes, "_cached_primes", [])
+    assert prime_factors(2**44) == ((2, 44),)
+    assert primes._cached_limit <= 1024
+    assert order(3, 2**44).order == 2**42
+    assert primes._cached_limit <= 1024

@@ -1,17 +1,19 @@
 from fermatkit.factoring import COMPLETE, PARTIAL, Factorization, clear_cache
+from fermatkit.render import (
+    factorization_to_dict,
+    format_factorization,
+    render_report,
+    report_to_dict,
+)
 from fermatkit.replay import (
     M23_M36_EXPECTED,
     TABLE1_EXPECTED,
     _build_report,
-    factorization_to_dict,
-    format_factorization,
-    render_report,
     replay_all,
     replay_m23_to_m36,
     replay_m31,
     replay_m37,
     replay_table1,
-    report_to_dict,
 )
 
 
