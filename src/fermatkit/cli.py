@@ -2,10 +2,13 @@
 
 The ``order`` line and the ``verify-flt`` sweep messages are the only text
 written here. Exit codes: 0 on success (and all replay items passing), 1
-when a replay item or sweep finds a mismatch, 2 on usage or domain errors.
+when a replay item or sweep finds a mismatch, 2 on usage or domain errors,
+141 (128 + SIGPIPE) when stdout is closed before the output is written,
+as by ``| head``; that case prints nothing to stderr.
 """
 
 import argparse
+import os
 import sys
 
 from . import render
@@ -153,10 +156,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

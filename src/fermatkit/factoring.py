@@ -168,7 +168,12 @@ def _factor_mersenne_uncached(n, budget, refined):
 
 
 def verify(f):
-    """Recheck a Factorization: product, factor primality, status flags."""
+    """Recheck a Factorization: product, factor primality, status flags.
+
+    Each factor's primality is rechecked by ``is_prime``, a cache lookup
+    or the 13-base strong test, so no sieve grows; a factor at or above
+    ``primes.PSI13`` with no prime factor <= 41 raises ValueError.
+    """
     product = f.unresolved_cofactor
     for p, e in f.factors:
         if e < 1 or not is_prime(p):

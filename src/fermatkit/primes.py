@@ -1,11 +1,13 @@
 """Prime generation and deterministic primality testing.
 
-A single module-level sieve cache backs ``primes_up_to``, ``is_prime``
-and the class sieve. It grows on demand (doubling until sufficient) and
-is rebuilt as a fresh list under a lock, so concurrent readers only ever
-see complete tables. Primality is decided by trial division against
-sieve primes up to the square root: everything in scope is small enough
-that no probabilistic test is needed.
+A single module-level sieve cache backs ``primes_up_to``,
+``prime_factors`` and the class sieve. It grows on demand (doubling
+until sufficient) and is rebuilt as a fresh list under a lock, so
+concurrent readers only ever see complete tables. ``is_prime`` never
+grows it: it looks n up in the cached primes when n is in range, and
+otherwise runs strong probable-prime tests to the first 13 prime bases,
+which decide primality exactly below PSI13 (Sorenson and Webster,
+"Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 
 ``class_primes`` is the one walk over the primes of a residue class. It
 sieves each progression k*m + r along k in segments, striking the
@@ -60,13 +62,44 @@ def primes_up_to(limit):
     return primes[:count]
 
 
+# The first 13 primes, and the least n that passes the strong test to all
+# of them without being prime (Sorenson and Webster): below it the test
+# is exact.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI13 = 3317044064679887385961981
+
+
 def is_prime(n):
-    """True iff n is prime, by trial division up to isqrt(n)."""
+    """True iff n is prime, without growing the sieve.
+
+    n up to the largest cached prime is looked up by bisection. Past it,
+    n is divided by the 13 bases 2..41 and then, below PSI13, given the
+    strong test to each base. n >= PSI13 without a factor <= 41 raises
+    ValueError, since no base set here is proven exact for it.
+    """
+    primes = _cached_primes  # replaced, never mutated, by growth
+    if primes and n <= primes[-1]:
+        return primes[bisect.bisect_left(primes, n)] == n
     if n < 2:
         return False
-    primes, count = shared_primes(isqrt(n))
-    for p in itertools.islice(primes, count):
-        if n % p == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    if n >= PSI13:
+        raise ValueError(
+            f"is_prime is exact only below psi_13 = {PSI13}, got {n}"
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -1,15 +1,49 @@
+import bisect
+import functools
 import itertools
+import math
 
 import pytest
 
-from fermatkit.primes import is_prime
+
+@functools.cache
+def _oracle_primes(bits):
+    """Primes below 2**bits, by this file's own sieve of Eratosthenes."""
+    limit = 1 << bits
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return list(itertools.compress(range(limit), flags))
+
+
+def trial_division_is_prime(n):
+    """The trial division is_prime used before the strong test, as its oracle.
+
+    Divides n by every prime up to isqrt(n); the primes come from a sieve
+    in this file, so nothing here depends on fermatkit.primes.
+    """
+    if n < 2:
+        return False
+    root = math.isqrt(n)
+    primes = _oracle_primes(max(10, root.bit_length()))
+    for p in itertools.islice(primes, bisect.bisect_right(primes, root)):
+        if n % p == 0:
+            return False
+    return True
+
+
+@pytest.fixture
+def trial_division():
+    return trial_division_is_prime
 
 
 def walk_class(classes, limit=None):
     """The per-candidate walk the class sieve replaced, kept as its oracle.
 
     Ascending k*modulus + r for k = 0, 1, ... and each residue r, with
-    is_prime (trial division) on every member; stops past limit.
+    trial_division_is_prime on every member; stops past limit.
     """
     residues = sorted(classes.residues)
     for base in itertools.count(0, classes.modulus):
@@ -17,7 +51,7 @@ def walk_class(classes, limit=None):
             c = base + r
             if limit is not None and c > limit:
                 return
-            if is_prime(c):
+            if trial_division_is_prime(c):
                 yield c
 
 

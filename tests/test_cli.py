@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fermatkit
 from fermatkit.cli import main
 
 
@@ -147,6 +151,26 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The read end is closed before the command starts, so its first
+    # write to stdout fails with EPIPE.
+    src = os.path.dirname(os.path.dirname(fermatkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermatkit.cli", "factor", "37", "--unrefined"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # Exact stdout of representative commands, so any change to a text or

@@ -1,6 +1,6 @@
 import pytest
 
-from fermatkit import factoring
+from fermatkit import factoring, primes
 from fermatkit.factoring import (
     BUDGET_EXHAUSTED,
     CANDIDATE_HIT,
@@ -179,6 +179,18 @@ class TestVerify:
     def test_partial_verifies(self):
         fact, _ = factor_mersenne(37, budget=223)
         assert verify(fact)
+
+    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, monkeypatch):
+        # 96 of these factors lie past the scan's sieve (8,192 from a cold
+        # cache), the largest 67,280,421,310,721; trial division would
+        # sieve to its square root.
+        monkeypatch.setattr(primes, "_cached_limit", 0)
+        monkeypatch.setattr(primes, "_cached_primes", [])
+        exponents = [n for n in range(2, 129) if n != 122]
+        facts = [factor_mersenne(n, budget=10**7)[0] for n in exponents]
+        limit = primes._cached_limit
+        assert all(verify(f) for f in facts)
+        assert primes._cached_limit == limit
 
 
 @pytest.fixture

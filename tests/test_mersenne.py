@@ -16,7 +16,6 @@ from fermatkit.mersenne import (
     order,
     second_proposition_check,
 )
-from fermatkit.primes import is_prime
 
 
 class TestMersenne:
@@ -40,9 +39,9 @@ class TestMersenne:
 
 
 class TestIsMersennePrime:
-    def test_matches_trial_division(self):
+    def test_matches_trial_division(self, trial_division):
         for p in range(2, 41):
-            assert is_mersenne_prime(p) == is_prime(mersenne(p)), p
+            assert is_mersenne_prime(p) == trial_division(mersenne(p)), p
 
     def test_exponents_up_to_1279(self):
         found = [p for p in range(1280) if is_mersenne_prime(p)]

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from fermatkit import primes
+from fermatkit.factoring import factor_mersenne
 from fermatkit.forms import CandidateClass, euler_refined_class, generalized_class
-from fermatkit.mersenne import order
+from fermatkit.mersenne import is_mersenne_prime, mersenne, order
 from fermatkit.primes import (
     class_primes,
     is_prime,
@@ -56,6 +58,92 @@ class TestIsPrime:
         members = set(primes_up_to(10**4))
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
+
+
+@pytest.fixture
+def cold_sieve(monkeypatch):
+    """An empty prime cache, so is_prime takes its strong-test path."""
+    monkeypatch.setattr(primes, "_cached_limit", 0)
+    monkeypatch.setattr(primes, "_cached_primes", [])
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases
+# (psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
+PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+# Carmichael numbers: Fermat pseudoprimes to every coprime base. The
+# last three have no prime factor <= 41, so only the strong test sees them.
+CARMICHAEL = ((3, 11, 17), (7, 13, 19), (37, 73, 109),
+              (43, 127, 211), (211, 421, 631), (271, 541, 811))
+
+
+class TestStrongTest:
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_agrees_with_trial_division_to_200000(
+        self, request, trial_division, cache
+    ):
+        if cache == "cold":
+            request.getfixturevalue("cold_sieve")
+        else:
+            primes_up_to(2 * 10**5)
+        for n in range(-2, 2 * 10**5 + 1):
+            assert is_prime(n) == trial_division(n), n
+
+    def test_agrees_with_trial_division_below_10_to_12(
+        self, cold_sieve, trial_division
+    ):
+        rng = random.Random(2017)
+        for n in (rng.randrange(10**12) for _ in range(3000)):
+            assert is_prime(n) == trial_division(n), n
+
+    def test_every_prime_factor_of_m2_to_m64(self, request, trial_division):
+        # Only M61 stays unresolved at this budget; it is prime, which
+        # test_mersenne_numbers_below_psi13 checks by Lucas-Lehmer.
+        factors = {}
+        for n in range(2, 65):
+            fact, _ = factor_mersenne(n, budget=1 << 22)
+            factors.update((q, n) for q, _e in fact.factors)
+            assert fact.unresolved_cofactor == (mersenne(61) if n == 61 else 1)
+        request.getfixturevalue("cold_sieve")
+        for q, n in sorted(factors.items()):
+            assert is_prime(q) and trial_division(q), (n, q)
+
+    def test_mersenne_numbers_below_psi13(self, cold_sieve):
+        assert mersenne(81) < primes.PSI13 < mersenne(82)
+        for n in range(2, 82):
+            assert is_prime(mersenne(n)) == is_mersenne_prime(n), n
+
+    @pytest.mark.parametrize("n", PSEUDOPRIMES)
+    def test_strong_pseudoprimes_are_composite(self, cold_sieve, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("factors", CARMICHAEL)
+    def test_carmichael_numbers_are_composite(self, cold_sieve, factors):
+        n = 1
+        for p in factors:
+            n *= p
+        assert all((n - 1) % (p - 1) == 0 for p in factors)  # Korselt
+        assert not is_prime(n)
+
+    def test_never_sieves(self, cold_sieve, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"is_prime sieved to {limit}")
+
+        monkeypatch.setattr(primes, "_sieve_list", no_sieve)
+        assert is_prime(2**61 - 1)
+        assert not is_prime(3 * primes.PSI13)
+        with pytest.raises(ValueError, match="psi_13"):
+            is_prime(primes.PSI13)
 
 
 class TestPrimesInClasses:
