@@ -10,10 +10,10 @@ prime. ``factor_nat`` is the independent plain-trial-division oracle.
 """
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .forms import euler_refined_class, generalized_class
-from .kernel import divisors, isqrt
+from .kernel import Record, divisors, isqrt
 from .mersenne import mersenne
 from .primes import class_primes, is_prime, prime_factors
 
@@ -27,35 +27,31 @@ COFACTOR_PRIME = "cofactor-prime"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class Factorization:
-    value: int
-    factors: tuple  # ((prime, multiplicity), ...) ascending
-    status: str  # COMPLETE or PARTIAL
-    unresolved_cofactor: int = 1
+class Factorization(Record, namedtuple(
+        "Factorization", "value factors status unresolved_cofactor", defaults=(1,))):
+    """factors: ((prime, multiplicity), ...) ascending; status: COMPLETE or
+    PARTIAL, when unresolved_cofactor holds what is left of value."""
+
+    __slots__ = ()
 
     def prime_multiset(self):
         """Primes with repetition, ascending."""
         return [p for p, e in self.factors for _ in range(e)]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record, namedtuple(
+        "TraceStep", "rule value source multiplicity", defaults=(None, 0))):
     """One pipeline event.
 
     value is the prime divided out, the candidate tried, or the scan
     bound; source is the exponent d a propagated prime came from.
     """
 
-    rule: str
-    value: int
-    source: int = None
-    multiplicity: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FactorTrace:
-    steps: tuple
+class FactorTrace(Record, namedtuple("FactorTrace", "steps")):
+    __slots__ = ()
 
     def candidates_tried(self):
         return [

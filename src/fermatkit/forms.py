@@ -6,27 +6,27 @@ already accounted for by smaller exponents. The quadratic-character
 refinement intersects with +-1 mod 8 and halves the candidate density.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .kernel import modpow
+from .kernel import Record, modpow
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
-class CandidateClass:
+class CandidateClass(Record, namedtuple(
+        "CandidateClass", "modulus residues target_exponent")):
     """Admissible residues mod ``modulus`` for prime divisors of 2**q - 1."""
 
-    modulus: int
-    residues: frozenset
-    target_exponent: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not self.residues:
+    def __new__(cls, modulus, residues, target_exponent):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if not residues:
             raise ValueError("residue set must be non-empty")
-        if any(not 0 <= r < self.modulus for r in self.residues):
+        if any(not 0 <= r < modulus for r in residues):
             raise ValueError("every residue must lie in [0, modulus)")
+        return super().__new__(cls, modulus, residues, target_exponent)
 
 
 def _check_odd_prime(q, who):

@@ -9,6 +9,21 @@ are exact: no floating point anywhere.
 import math
 
 
+class Record:
+    """Base of the namedtuple records: == holds only within one record type."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+
 def _check_nat(value, name):
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")

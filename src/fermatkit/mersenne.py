@@ -8,19 +8,16 @@ surface as a False return (or a failed cross-check), never be assumed.
 ``order`` finds a multiplicative order by φ reduction with an Euler check.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .kernel import divisors, gcd
+from .kernel import Record, divisors, gcd
 from .primes import is_prime, prime_factors
 
 
-@dataclass(frozen=True)
-class OrderRecord:
-    """Least k >= 1 with modulus | base**k - 1."""
+class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
+    """order is the least k >= 1 with modulus | base**k - 1."""
 
-    base: int
-    modulus: int
-    order: int
+    __slots__ = ()
 
 
 def mersenne(n):

@@ -7,10 +7,10 @@ each decided by the Lucas-Lehmer test (``mersenne.is_mersenne_prime``).
 Factoring is used only to find a witness for a composite 2**p - 1.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factoring import factor_mersenne, factor_nat
-from .kernel import digit_count
+from .kernel import Record, digit_count
 from .mersenne import is_mersenne_prime, mersenne
 from .primes import primes_up_to
 
@@ -19,27 +19,24 @@ IMPOSTER = "imposter"
 UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class PerfectRecord:
-    exponent: int
-    mersenne_prime: int
-    perfect_number: int
-    digits: int
+class PerfectRecord(Record, namedtuple(
+        "PerfectRecord", "exponent mersenne_prime perfect_number digits")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExponentVerdict:
-    exponent: int
-    verdict: str  # MERSENNE_PRIME, IMPOSTER or UNRESOLVED
-    witness: int = None  # smallest known factor, for imposters
-    digits: int = None  # digits of the paired perfect number, for primes
+class ExponentVerdict(Record, namedtuple(
+        "ExponentVerdict", "exponent verdict witness digits", defaults=(None, None))):
+    """verdict: MERSENNE_PRIME, IMPOSTER or UNRESOLVED; witness: smallest known
+    factor, for imposters; digits: of the paired perfect number, for primes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChallengeReport:
-    min_digits: int
-    examined: tuple  # ExponentVerdict per prime exponent, ascending
-    outcome: PerfectRecord = None
+class ChallengeReport(Record, namedtuple(
+        "ChallengeReport", "min_digits examined outcome", defaults=(None,))):
+    """examined holds an ExponentVerdict per prime exponent, ascending."""
+
+    __slots__ = ()
 
 
 def aliquot_sum(n):

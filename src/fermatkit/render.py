@@ -3,10 +3,9 @@ challenge scans and replay reports: the one place they are written.
 
 JSON forms write every number as a decimal string (values exceed 64 bits).
 A factor trace or candidate list can run to a million lines, so its text
-form yields lines for the caller to write as they are made.
+form yields lines for the caller to write as they are made. ``json`` is
+imported only by the functions that write JSON, to keep it off CLI start-up.
 """
-
-import json
 
 from .factoring import (
     BUDGET_EXHAUSTED,
@@ -67,6 +66,7 @@ def factor_lines(n, fact, trace):
 
 
 def factor_json(n, fact, trace):
+    import json
     steps = [{"rule": s.rule, "value": str(s.value),
               "source": None if s.source is None else str(s.source),
               "multiplicity": str(s.multiplicity)} for s in trace.steps]
@@ -116,5 +116,6 @@ def render_report(report):
 
 def reports_json(reports):
     """One report as an object, several as a list."""
+    import json
     docs = [report_to_dict(r) for r in reports]
     return json.dumps(docs[0] if len(docs) == 1 else docs, indent=2)

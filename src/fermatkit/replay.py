@@ -6,28 +6,22 @@ so a regression in the pipeline cannot silently rewrite what the run is
 checked against. It only recomputes and diffs; ``render`` writes the text.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factoring import factor_mersenne
 from .forms import euler_refined_class
-from .kernel import digit_count
+from .kernel import Record, digit_count
 from .mersenne import mersenne
 from .primes import is_prime, primes_in_classes, primes_up_to
 from .render import format_factorization, format_residues
 
 
-@dataclass(frozen=True)
-class ReplayItem:
-    label: str
-    computed: str
-    expected: str
-    passed: bool
+class ReplayItem(Record, namedtuple("ReplayItem", "label computed expected passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReplayReport:
-    scenario: str
-    items: tuple
+class ReplayReport(Record, namedtuple("ReplayReport", "scenario items")):
+    __slots__ = ()
 
     @property
     def overall(self):

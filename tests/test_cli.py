@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -285,6 +286,891 @@ exponent 31: mersenne-prime (perfect number has 19 digits)
 exponent 37: imposter (witness factor 223)
 no perfect number with at least 20 digits
 """,
+    "replay all --json": """\
+[
+  {
+    "scenario": "table1",
+    "items": [
+      {
+        "label": "M2",
+        "computed": "3 (prime)",
+        "expected": "3 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M3",
+        "computed": "7 (prime)",
+        "expected": "7 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M4",
+        "computed": "3\\u00b75",
+        "expected": "3\\u00b75",
+        "pass": true
+      },
+      {
+        "label": "M5",
+        "computed": "31 (prime)",
+        "expected": "31 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M6",
+        "computed": "3^2\\u00b77",
+        "expected": "3^2\\u00b77",
+        "pass": true
+      },
+      {
+        "label": "M7",
+        "computed": "127 (prime)",
+        "expected": "127 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M8",
+        "computed": "3\\u00b75\\u00b717",
+        "expected": "3\\u00b75\\u00b717",
+        "pass": true
+      },
+      {
+        "label": "M9",
+        "computed": "7\\u00b773",
+        "expected": "7\\u00b773",
+        "pass": true
+      },
+      {
+        "label": "M10",
+        "computed": "3\\u00b711\\u00b731",
+        "expected": "3\\u00b711\\u00b731",
+        "pass": true
+      },
+      {
+        "label": "M11",
+        "computed": "23\\u00b789",
+        "expected": "23\\u00b789",
+        "pass": true
+      },
+      {
+        "label": "M12",
+        "computed": "3^2\\u00b75\\u00b77\\u00b713",
+        "expected": "3^2\\u00b75\\u00b77\\u00b713",
+        "pass": true
+      },
+      {
+        "label": "M13",
+        "computed": "8191 (prime)",
+        "expected": "8191 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M14",
+        "computed": "3\\u00b743\\u00b7127",
+        "expected": "3\\u00b743\\u00b7127",
+        "pass": true
+      },
+      {
+        "label": "M15",
+        "computed": "7\\u00b731\\u00b7151",
+        "expected": "7\\u00b731\\u00b7151",
+        "pass": true
+      },
+      {
+        "label": "M16",
+        "computed": "3\\u00b75\\u00b717\\u00b7257",
+        "expected": "3\\u00b75\\u00b717\\u00b7257",
+        "pass": true
+      },
+      {
+        "label": "M17",
+        "computed": "131071 (prime)",
+        "expected": "131071 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M18",
+        "computed": "3^3\\u00b77\\u00b719\\u00b773",
+        "expected": "3^3\\u00b77\\u00b719\\u00b773",
+        "pass": true
+      },
+      {
+        "label": "M19",
+        "computed": "524287 (prime)",
+        "expected": "524287 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M20",
+        "computed": "3\\u00b75^2\\u00b711\\u00b731\\u00b741",
+        "expected": "3\\u00b75^2\\u00b711\\u00b731\\u00b741",
+        "pass": true
+      },
+      {
+        "label": "M21",
+        "computed": "7^2\\u00b7127\\u00b7337",
+        "expected": "7^2\\u00b7127\\u00b7337",
+        "pass": true
+      },
+      {
+        "label": "M22",
+        "computed": "3\\u00b723\\u00b789\\u00b7683",
+        "expected": "3\\u00b723\\u00b789\\u00b7683",
+        "pass": true
+      }
+    ],
+    "overall": true
+  },
+  {
+    "scenario": "m23-m36",
+    "items": [
+      {
+        "label": "M23",
+        "computed": "47\\u00b7178481",
+        "expected": "47\\u00b7178481",
+        "pass": true
+      },
+      {
+        "label": "M24",
+        "computed": "3^2\\u00b75\\u00b77\\u00b713\\u00b717\\u00b7241",
+        "expected": "3^2\\u00b75\\u00b77\\u00b713\\u00b717\\u00b7241",
+        "pass": true
+      },
+      {
+        "label": "M25",
+        "computed": "31\\u00b7601\\u00b71801",
+        "expected": "31\\u00b7601\\u00b71801",
+        "pass": true
+      },
+      {
+        "label": "M26",
+        "computed": "3\\u00b72731\\u00b78191",
+        "expected": "3\\u00b72731\\u00b78191",
+        "pass": true
+      },
+      {
+        "label": "M27",
+        "computed": "7\\u00b773\\u00b7262657",
+        "expected": "7\\u00b773\\u00b7262657",
+        "pass": true
+      },
+      {
+        "label": "M28",
+        "computed": "3\\u00b75\\u00b729\\u00b743\\u00b7113\\u00b7127",
+        "expected": "3\\u00b75\\u00b729\\u00b743\\u00b7113\\u00b7127",
+        "pass": true
+      },
+      {
+        "label": "M29",
+        "computed": "233\\u00b71103\\u00b72089",
+        "expected": "233\\u00b71103\\u00b72089",
+        "pass": true
+      },
+      {
+        "label": "M30",
+        "computed": "3^2\\u00b77\\u00b711\\u00b731\\u00b7151\\u00b7331",
+        "expected": "3^2\\u00b77\\u00b711\\u00b731\\u00b7151\\u00b7331",
+        "pass": true
+      },
+      {
+        "label": "M31",
+        "computed": "2147483647 (prime)",
+        "expected": "2147483647 (prime)",
+        "pass": true
+      },
+      {
+        "label": "M32",
+        "computed": "3\\u00b75\\u00b717\\u00b7257\\u00b765537",
+        "expected": "3\\u00b75\\u00b717\\u00b7257\\u00b765537",
+        "pass": true
+      },
+      {
+        "label": "M33",
+        "computed": "7\\u00b723\\u00b789\\u00b7599479",
+        "expected": "7\\u00b723\\u00b789\\u00b7599479",
+        "pass": true
+      },
+      {
+        "label": "M34",
+        "computed": "3\\u00b743691\\u00b7131071",
+        "expected": "3\\u00b743691\\u00b7131071",
+        "pass": true
+      },
+      {
+        "label": "M35",
+        "computed": "31\\u00b771\\u00b7127\\u00b7122921",
+        "expected": "31\\u00b771\\u00b7127\\u00b7122921",
+        "pass": true
+      },
+      {
+        "label": "M36",
+        "computed": "3^3\\u00b75\\u00b77\\u00b713\\u00b719\\u00b737\\u00b773\\u00b7109",
+        "expected": "3^3\\u00b75\\u00b77\\u00b713\\u00b719\\u00b737\\u00b773\\u00b7109",
+        "pass": true
+      }
+    ],
+    "overall": true
+  },
+  {
+    "scenario": "m37",
+    "items": [
+      {
+        "label": "first candidate",
+        "computed": "149",
+        "expected": "149",
+        "pass": true
+      },
+      {
+        "label": "divisor found",
+        "computed": "223",
+        "expected": "223",
+        "pass": true
+      },
+      {
+        "label": "factorization",
+        "computed": "223\\u00b7616318177",
+        "expected": "223\\u00b7616318177",
+        "pass": true
+      },
+      {
+        "label": "cofactor",
+        "computed": "prime",
+        "expected": "prime",
+        "pass": true
+      },
+      {
+        "label": "perfect-candidate digits",
+        "computed": "22",
+        "expected": "22",
+        "pass": true
+      }
+    ],
+    "overall": true
+  },
+  {
+    "scenario": "m31",
+    "items": [
+      {
+        "label": "residue classes",
+        "computed": "mod 248: 1, 63",
+        "expected": "mod 248: 1, 63",
+        "pass": true
+      },
+      {
+        "label": "primes below 46339",
+        "computed": "4792",
+        "expected": "4792",
+        "pass": true
+      },
+      {
+        "label": "candidate count",
+        "computed": "84",
+        "expected": "84",
+        "pass": true
+      },
+      {
+        "label": "first candidate",
+        "computed": "311",
+        "expected": "311",
+        "pass": true
+      },
+      {
+        "label": "divisor hits",
+        "computed": "0",
+        "expected": "0",
+        "pass": true
+      },
+      {
+        "label": "direct-division cross-check",
+        "computed": "consistent",
+        "expected": "consistent",
+        "pass": true
+      },
+      {
+        "label": "verdict",
+        "computed": "prime",
+        "expected": "prime",
+        "pass": true
+      },
+      {
+        "label": "perfect number",
+        "computed": "2305843008139952128",
+        "expected": "2305843008139952128",
+        "pass": true
+      },
+      {
+        "label": "perfect-number digits",
+        "computed": "19",
+        "expected": "19",
+        "pass": true
+      }
+    ],
+    "overall": true
+  }
+]
+""",
+    "factor 37 --unrefined --json": """\
+{
+  "exponent": "37",
+  "factorization": {
+    "value": "137438953471",
+    "factors": [
+      {
+        "p": "223",
+        "e": "1"
+      },
+      {
+        "p": "616318177",
+        "e": "1"
+      }
+    ],
+    "status": "complete",
+    "cofactor": "1"
+  },
+  "trace": [
+    {
+      "rule": "candidate-miss",
+      "value": "149",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-hit",
+      "value": "223",
+      "source": null,
+      "multiplicity": "1"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "593",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "1259",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "1481",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "1777",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "1999",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "2221",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "2591",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "2887",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "3109",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "3257",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "3331",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "3701",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "3923",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "4219",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "4441",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "4663",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "5107",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "5477",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "6143",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "6217",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "6661",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "6883",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "7253",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "7549",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "7919",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "7993",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "8363",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "8807",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "9029",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "9103",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "9473",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "9547",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "9769",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "10139",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "10657",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "11027",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "11471",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "12211",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "12433",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "13099",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "13469",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "13691",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "13913",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "14431",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "14653",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "15319",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "15467",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "15541",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "16651",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "17021",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "17317",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "17539",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "17761",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "17909",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "18131",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "18353",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "18427",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "18797",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "19463",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "19759",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "20129",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "21017",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "21313",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "21683",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "21757",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "22349",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "22571",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "23311",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "23459",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "23977",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "candidate-miss",
+      "value": "24421",
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "cofactor-prime",
+      "value": "616318177",
+      "source": null,
+      "multiplicity": "1"
+    }
+  ]
+}
+""",
+    "order 683": """\
+order of 2 mod 683 = 22
+""",
+    "order 1000003": """\
+order of 2 mod 1000003 = 1000002
+""",
+    "candidates --q 31 --refined --limit 46339": """\
+class for M31: residues 1, 63 mod 248
+84 candidate primes up to 46339
+311
+1303
+1489
+2543
+2729
+2791
+4217
+5023
+5209
+5519
+5953
+6263
+6449
+7193
+7937
+8681
+8929
+9239
+10169
+11161
+11471
+11657
+11719
+12401
+12959
+14447
+14633
+15377
+15439
+16183
+16369
+16927
+17609
+18353
+18911
+19841
+20089
+20399
+21143
+21391
+21577
+22073
+22817
+23561
+23623
+25111
+25793
+26041
+27281
+27529
+28087
+29017
+29327
+29761
+30071
+30319
+31063
+31249
+32303
+33791
+34039
+34721
+35279
+35527
+36209
+36457
+36767
+37201
+37511
+39929
+40177
+40487
+41231
+41479
+42223
+42409
+42719
+42967
+43649
+43711
+44207
+44641
+45137
+45943
+""",
+    "verify-flt --max-p 2000 --bases 2,3,5": """\
+1208 checks, 0 counterexamples
+""",
 }
 
 
@@ -293,3 +1179,18 @@ def test_golden_stdout(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert out == GOLDEN_STDOUT[command]
+
+
+# Outputs too long to hold as text, pinned by byte length and sha256.
+GOLDEN_DIGEST = {
+    "factor 59 --json": (
+        136270, "fd90b7b00c8446104cb003ed673e985391513d9324a0fd8c32128166f8b150d2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGEST))
+def test_golden_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_DIGEST[command]
