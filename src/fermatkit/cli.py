@@ -82,7 +82,7 @@ def build_parser():
 def _cmd_factor(args):
     fact, trace = factor_mersenne(args.n, args.budget, args.refined)
     if args.json:
-        print(render.factor_json(args.n, fact, trace))
+        sys.stdout.writelines(render.factor_json(args.n, fact, trace))
     else:
         sys.stdout.writelines(render.factor_lines(args.n, fact, trace))
     return 0

@@ -3,25 +3,34 @@
 The pipeline mirrors the 1640 method: primes of 2**d - 1 for proper
 divisors d of n are divided out first (to full multiplicity), then the
 remaining cofactor is divided only by the primes of its admissible
-residue class, in increasing order, as the segmented class sieve
-``primes.class_primes`` yields them, so no composite candidate is ever
-tried. A cofactor that survives all candidates up to its square root is
+residue class, in increasing order, so no composite candidate is ever
+tried. The scan takes them a segment at a time from the class sieve
+``primes.class_segments`` and finds each segment's first divisor in one
+pass. A cofactor that survives all candidates up to its square root is
 prime. ``factor_nat`` is the independent plain-trial-division oracle.
+
+The trace keeps every candidate tried, but not one step per candidate:
+each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)
+steps and its shape does not depend on where segments end.
 """
 
+import bisect
+import itertools
+import operator
 import threading
 from collections import namedtuple
 
 from .forms import euler_refined_class, generalized_class
 from .kernel import Record, divisors, isqrt
 from .mersenne import mersenne
-from .primes import class_primes, is_prime, prime_factors
+from .primes import class_segments, is_prime, prime_factors
 
 COMPLETE = "complete"
 PARTIAL = "partial"
 
 PROPAGATED = "propagated"
-CANDIDATE_MISS = "candidate-miss"
+MISS_RUN = "candidate-miss-run"
+CANDIDATE_MISS = "candidate-miss"  # how render writes each member of a run
 CANDIDATE_HIT = "candidate-hit"
 COFACTOR_PRIME = "cofactor-prime"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -43,22 +52,30 @@ class TraceStep(Record, namedtuple(
         "TraceStep", "rule value source multiplicity", defaults=(None, 0))):
     """One pipeline event.
 
-    value is the prime divided out, the candidate tried, or the scan
-    bound; source is the exponent d a propagated prime came from.
+    value is the prime divided out, the candidate that hit, the scan
+    bound, or, for MISS_RUN, the ascending tuple of the candidates
+    missed in a row; source is the exponent d a propagated prime came
+    from.
     """
 
     __slots__ = ()
 
 
 class FactorTrace(Record, namedtuple("FactorTrace", "steps")):
+    """The steps of one factor_mersenne call, in order. Runs are maximal:
+    no MISS_RUN step follows another, so equal scans give equal traces."""
+
     __slots__ = ()
 
     def candidates_tried(self):
-        return [
-            s.value
-            for s in self.steps
-            if s.rule in (CANDIDATE_MISS, CANDIDATE_HIT)
-        ]
+        """Every candidate divided, ascending: run members and hits."""
+        tried = []
+        for s in self.steps:
+            if s.rule == MISS_RUN:
+                tried += s.value
+            elif s.rule == CANDIDATE_HIT:
+                tried.append(s.value)
+        return tried
 
     def hits(self):
         return [s.value for s in self.steps if s.rule == CANDIDATE_HIT]
@@ -132,35 +149,59 @@ def _factor_mersenne_uncached(n, budget, refined):
             cls = euler_refined_class(n)
         else:
             cls = generalized_class(n)
-        limit = isqrt(cofactor)
-        for c in class_primes(cls):
-            if c > limit:
-                # Every prime divisor of the primitive cofactor lies in
-                # the class, so an exhausted scan proves primality.
-                counts[cofactor] = 1
-                steps.append(TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1))
-                cofactor = 1
-                break
-            if budget is not None and c > budget:
-                status = PARTIAL
-                steps.append(TraceStep(BUDGET_EXHAUSTED, budget))
-                break
-            if cofactor % c == 0:
-                e = 0
-                while cofactor % c == 0:
-                    cofactor //= c
-                    e += 1
-                counts[c] = e
-                steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
-                if cofactor == 1:
-                    break
-                limit = isqrt(cofactor)
-            else:
-                steps.append(TraceStep(CANDIDATE_MISS, c))
+        status, cofactor = _class_scan(cofactor, cls, budget, steps, counts)
 
     factors = tuple(sorted((p, e) for p, e in counts.items()))
     fact = Factorization(value, factors, status, cofactor if status == PARTIAL else 1)
     return fact, FactorTrace(tuple(steps))
+
+
+def _class_scan(cofactor, cls, budget, steps, counts):
+    """Divide cofactor by the primes of cls, ascending; (status, cofactor left).
+
+    Each sieve segment is cut at min(limit, budget) and searched for its
+    first divisor in one pass; the candidates before it extend the
+    pending run of misses, which becomes one MISS_RUN step when a hit or
+    the end of the scan follows it.
+    """
+    limit = isqrt(cofactor)
+    misses = []
+    for segment in class_segments(cls):
+        i = 0
+        while True:
+            stop = limit if budget is None else min(limit, budget)
+            end = bisect.bisect_right(segment, stop, i)
+            try:
+                j = i + operator.indexOf(
+                    map(cofactor.__mod__, itertools.islice(segment, i, end)), 0)
+            except ValueError:
+                j = end
+            misses += segment[i:j]
+            if j == len(segment):
+                break
+            if misses:
+                steps.append(TraceStep(MISS_RUN, tuple(misses)))
+                misses = []
+            c = segment[j]
+            if j == end:  # c is the first candidate past min(limit, budget)
+                if c > limit:
+                    # Every prime divisor of the primitive cofactor lies in
+                    # the class, so an exhausted scan proves primality.
+                    counts[cofactor] = 1
+                    steps.append(TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1))
+                    return COMPLETE, 1
+                steps.append(TraceStep(BUDGET_EXHAUSTED, budget))
+                return PARTIAL, cofactor
+            e = 0
+            while cofactor % c == 0:
+                cofactor //= c
+                e += 1
+            counts[c] = e
+            steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
+            if cofactor == 1:
+                return COMPLETE, 1
+            limit = isqrt(cofactor)
+            i = j + 1
 
 
 def verify(f):

@@ -9,10 +9,12 @@ otherwise runs strong probable-prime tests to the first 13 prime bases,
 which decide primality exactly below PSI13 (Sorenson and Webster,
 "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 
-``class_primes`` is the one walk over the primes of a residue class. It
+``class_segments`` is the one walk over the primes of a residue class. It
 sieves each progression k*m + r along k in segments, striking the
 members divisible by a cached prime up to the square root of the
-segment's largest member, so no member is trial-divided.
+segment's largest member, so no member is trial-divided, and yields each
+segment's primes as one ascending list. ``class_primes`` and
+``primes_in_classes`` flatten it.
 """
 
 import bisect
@@ -138,12 +140,13 @@ _FIRST_SEGMENT = 64
 _MAX_SEGMENT = 1 << 16
 
 
-def class_primes(classes, limit=None):
-    """Primes p with p mod classes.modulus in classes.residues, ascending.
+def class_segments(classes, limit=None):
+    """Primes p with p mod classes.modulus in classes.residues, as ascending
+    lists, one per sieve segment; together they ascend.
 
     Sieves the members k*modulus + r of every residue r along k, one
     segment of k values at a time, stopping past limit; with no limit
-    the walk is unbounded.
+    the walk is unbounded. A segment may yield an empty list.
     """
     if not classes.residues:
         raise ValueError("candidate class has an empty residue set")
@@ -176,12 +179,17 @@ def class_primes(classes, limit=None):
                 for plan, r in zip(plans, residues)
             )
         )
-        for c in survivors:
-            if limit is not None and c > limit:
-                return
-            yield c
+        if limit is not None and survivors and survivors[-1] > limit:
+            yield survivors[: bisect.bisect_right(survivors, limit)]
+            return
+        yield survivors
         k0 += size
         size = min(2 * size, _MAX_SEGMENT)
+
+
+def class_primes(classes, limit=None):
+    """The primes of class_segments one at a time, ascending."""
+    return itertools.chain.from_iterable(class_segments(classes, limit))
 
 
 def _sieve_segment(plan, m, r, k0, size):

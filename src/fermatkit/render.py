@@ -3,8 +3,10 @@ challenge scans and replay reports: the one place they are written.
 
 JSON forms write every number as a decimal string (values exceed 64 bits).
 A factor trace or candidate list can run to a million lines, so its text
-form yields lines for the caller to write as they are made. ``json`` is
-imported only by the functions that write JSON, to keep it off CLI start-up.
+and JSON forms are yielded in pieces for the caller to write as they are
+made; a run of misses in a trace is written as one candidate-miss line or
+entry per candidate. ``json`` is imported only by the functions that
+write JSON, to keep it off CLI start-up.
 """
 
 from .factoring import (
@@ -12,8 +14,10 @@ from .factoring import (
     CANDIDATE_HIT,
     CANDIDATE_MISS,
     COFACTOR_PRIME,
+    MISS_RUN,
     PARTIAL,
     PROPAGATED,
+    TraceStep,
 )
 from .perfect import IMPOSTER, MERSENNE_PRIME, UNRESOLVED
 
@@ -58,21 +62,41 @@ def factorization_to_dict(f):
     }
 
 
+def _written_steps(trace):
+    """The trace's steps with each run of misses cut into one step per miss."""
+    for step in trace.steps:
+        if step.rule == MISS_RUN:
+            for c in step.value:
+                yield TraceStep(CANDIDATE_MISS, c)
+        else:
+            yield step
+
+
 def factor_lines(n, fact, trace):
     yield f"M{n} = {fact.value} = {format_factorization(fact)}\n"
     yield f"status: {fact.status}\n"
-    for step in trace.steps:
+    for step in _written_steps(trace):
         yield f"  {_TRACE_TEXT[step.rule].format(step=step)}\n"
 
 
 def factor_json(n, fact, trace):
+    """The document json.dumps(..., indent=2) would write, and a newline.
+
+    The head comes from json.dumps; each trace entry from one template,
+    which needs no escaping: rules are fixed names, every number is a
+    decimal string and a missing source is null.
+    """
     import json
-    steps = [{"rule": s.rule, "value": str(s.value),
-              "source": None if s.source is None else str(s.source),
-              "multiplicity": str(s.multiplicity)} for s in trace.steps]
-    doc = {"exponent": str(n), "factorization": factorization_to_dict(fact),
-           "trace": steps}
-    return json.dumps(doc, indent=2)
+    head = json.dumps({"exponent": str(n), "factorization": factorization_to_dict(fact)},
+                      indent=2)
+    yield head[:-2] + ',\n  "trace": ['  # reopen the object before its "\n}"
+    sep = "\n"
+    for rule, value, source, multiplicity in _written_steps(trace):
+        source = "null" if source is None else f'"{source}"'
+        yield (f'{sep}    {{\n      "rule": "{rule}",\n      "value": "{value}",\n'
+               f'      "source": {source},\n      "multiplicity": "{multiplicity}"\n    }}')
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
 def candidates_lines(q, cls, limit, found):

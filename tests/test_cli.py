@@ -154,24 +154,54 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_closed_stdout_exits_141_quietly():
-    # The read end is closed before the command starts, so its first
-    # write to stdout fails with EPIPE.
+def _subprocess_env():
+    """The environment with this checkout's fermatkit first on the path."""
     src = os.path.dirname(os.path.dirname(fermatkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_with_closed_stdout(*argv):
+    # The read end is closed before the command starts, so its first
+    # write to stdout fails with EPIPE.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fermatkit.cli", "factor", "37", "--unrefined"],
+        return subprocess.run(
+            [sys.executable, "-m", "fermatkit.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_subprocess_env(),
             timeout=60,
         )
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_exits_141_quietly():
+    proc = _run_with_closed_stdout("factor", "37", "--unrefined")
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_closed_stdout_exits_141_quietly_on_streamed_json():
+    proc = _run_with_closed_stdout("factor", "37", "--unrefined", "--json")
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_factor_61_json_peaks_below_150_mib():
+    # A wrapper waits for the command alone, so RUSAGE_CHILDREN reads the
+    # command's own peak. The document is about 70 MB; streamed, neither
+    # it nor one record per miss is ever held.
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'fermatkit.cli', 'factor', '61',"
+        " '--json'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_subprocess_env(), timeout=120, check=True)
+    assert int(proc.stdout) / 1024 < 150
 
 
 # Exact stdout of representative commands, so any change to a text or

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fermatkit import factoring, primes
@@ -7,6 +9,7 @@ from fermatkit.factoring import (
     CANDIDATE_MISS,
     COFACTOR_PRIME,
     COMPLETE,
+    MISS_RUN,
     PARTIAL,
     PROPAGATED,
     Factorization,
@@ -121,6 +124,20 @@ class TestTrace:
         assert tried[1] == 223
         assert trace.hits() == [223]
 
+    def test_runs_are_maximal_and_ascending(self):
+        for n in range(2, 65):
+            for budget in (None, 10**3):
+                for refined in (True, False):
+                    _, trace = factor_mersenne(n, budget, refined)
+                    rules = [s.rule for s in trace.steps]
+                    assert (MISS_RUN, MISS_RUN) not in zip(rules, rules[1:])
+                    # candidate-miss is only how render writes a run's members.
+                    assert CANDIDATE_MISS not in rules
+                    for s in trace.steps:
+                        if s.rule == MISS_RUN:
+                            assert type(s.value) is tuple and s.value
+                            assert list(s.value) == sorted(set(s.value))
+
     def test_determinism(self):
         first = factor_mersenne(24)
         clear_cache()
@@ -210,8 +227,17 @@ class TestClassSieveScan:
                 for refined in (True, False)
             ]
 
+        def walk_batches(classes):
+            # Batches of 1, 2, 3, 5, 8, ... candidates: equal traces show
+            # that run boundaries do not depend on the segmentation.
+            walk = class_walk(classes)
+            size, after = 1, 2
+            while batch := list(itertools.islice(walk, size)):
+                yield batch
+                size, after = after, size + after
+
         sieved = run()
-        monkeypatch.setattr(factoring, "class_primes", class_walk)
+        monkeypatch.setattr(factoring, "class_segments", walk_batches)
         assert run() == sieved
 
     def test_m61_completes_unbudgeted(self, cold_memo):
@@ -220,7 +246,9 @@ class TestClassSieveScan:
         assert fact.factors == ((mersenne(61), 1),)
         assert len(trace.candidates_tried()) == 629227
         assert trace.hits() == []
-        assert trace.steps[-1].rule == COFACTOR_PRIME
+        # One run of every miss, then the proof: the memo holds two steps.
+        assert [s.rule for s in trace.steps] == [MISS_RUN, COFACTOR_PRIME]
+        assert len(trace.steps[0].value) == 629227
 
     def test_m122_with_budget_returns(self, cold_memo):
         # The unbudgeted recursion into M61 now completes within seconds.

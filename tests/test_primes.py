@@ -9,6 +9,7 @@ from fermatkit.forms import CandidateClass, euler_refined_class, generalized_cla
 from fermatkit.mersenne import is_mersenne_prime, mersenne, order
 from fermatkit.primes import (
     class_primes,
+    class_segments,
     is_prime,
     prime_factors,
     primes_in_classes,
@@ -240,6 +241,31 @@ class TestClassPrimes:
 
         with pytest.raises(ValueError):
             next(class_primes(Empty()))
+
+
+class TestClassSegments:
+    def test_segments_ascend_and_flatten_to_the_walk(self, class_walk):
+        for q in (2, 11, 31, 37, 64):
+            cls = generalized_class(q)
+            segments = list(itertools.islice(class_segments(cls), 6))
+            flat = list(itertools.chain.from_iterable(segments))
+            assert flat == sorted(set(flat))
+            assert flat == list(itertools.islice(class_walk(cls), len(flat)))
+
+    def test_bounded_segments_stop_at_the_limit(self, class_walk):
+        cls = euler_refined_class(31)
+        for limit in (310, 311, 46339, 10**5):
+            segments = list(class_segments(cls, limit))
+            assert list(itertools.chain.from_iterable(segments)) == list(
+                class_walk(cls, limit))
+
+    def test_empty_residues_rejected(self):
+        class Empty:
+            modulus = 8
+            residues = frozenset()
+
+        with pytest.raises(ValueError):
+            next(class_segments(Empty()))
 
 
 def test_cache_growth_is_consistent():
