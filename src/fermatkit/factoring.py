@@ -5,9 +5,9 @@ divisors d of n are divided out first (to full multiplicity), then the
 remaining cofactor is divided only by the primes of its admissible
 residue class, in increasing order, so no composite candidate is ever
 tried. The scan takes them a segment at a time from the class sieve
-``primes.class_segments`` and finds each segment's first divisor in one
-pass. A cofactor that survives all candidates up to its square root is
-prime. ``factor_nat`` is the independent plain-trial-division oracle.
+``primes.class_segments``, which it tells where it stops, and finds each
+segment's first divisor in one pass; a cofactor with no divisor up to
+its square root is prime. ``factor_nat`` is the independent oracle.
 
 The trace keeps every candidate tried, but not one step per candidate:
 each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)
@@ -159,49 +159,50 @@ def _factor_mersenne_uncached(n, budget, refined):
 def _class_scan(cofactor, cls, budget, steps, counts):
     """Divide cofactor by the primes of cls, ascending; (status, cofactor left).
 
-    Each sieve segment is cut at min(limit, budget) and searched for its
-    first divisor in one pass; the candidates before it extend the
-    pending run of misses, which becomes one MISS_RUN step when a hit or
-    the end of the scan follows it.
+    Each segment is cut at stop = min(isqrt(cofactor), budget) and searched
+    for its first divisor in one pass; the candidates before it extend the
+    pending run of misses, one MISS_RUN step once a hit or the end follows.
+    A segment read to its end sends stop to the sieve for the next one.
     """
     limit = isqrt(cofactor)
     misses = []
-    for segment in class_segments(cls):
-        i = 0
-        while True:
-            stop = limit if budget is None else min(limit, budget)
-            end = bisect.bisect_right(segment, stop, i)
-            try:
-                j = i + operator.indexOf(
-                    map(cofactor.__mod__, itertools.islice(segment, i, end)), 0)
-            except ValueError:
-                j = end
-            misses += segment[i:j]
-            if j == len(segment):
-                break
-            if misses:
-                steps.append(TraceStep(MISS_RUN, tuple(misses)))
-                misses = []
-            c = segment[j]
-            if j == end:  # c is the first candidate past min(limit, budget)
-                if c > limit:
-                    # Every prime divisor of the primitive cofactor lies in
-                    # the class, so an exhausted scan proves primality.
-                    counts[cofactor] = 1
-                    steps.append(TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1))
-                    return COMPLETE, 1
-                steps.append(TraceStep(BUDGET_EXHAUSTED, budget))
-                return PARTIAL, cofactor
-            e = 0
-            while cofactor % c == 0:
-                cofactor //= c
-                e += 1
-            counts[c] = e
-            steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
-            if cofactor == 1:
+    segments = class_segments(cls)
+    segment, i = next(segments), 0
+    while True:
+        stop = limit if budget is None else min(limit, budget)
+        end = bisect.bisect_right(segment, stop, i)
+        try:
+            j = i + operator.indexOf(
+                map(cofactor.__mod__, itertools.islice(segment, i, end)), 0)
+        except ValueError:
+            j = end
+        misses += segment[i:j]
+        if j == len(segment):
+            segment, i = segments.send(stop), 0
+            continue
+        if misses:
+            steps.append(TraceStep(MISS_RUN, tuple(misses)))
+            misses = []
+        c = segment[j]
+        if j == end:  # c is the first candidate past stop
+            if c > limit:
+                # Every prime divisor of the primitive cofactor lies in
+                # the class, so an exhausted scan proves primality.
+                counts[cofactor] = 1
+                steps.append(TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1))
                 return COMPLETE, 1
-            limit = isqrt(cofactor)
-            i = j + 1
+            steps.append(TraceStep(BUDGET_EXHAUSTED, budget))
+            return PARTIAL, cofactor
+        e = 0
+        while cofactor % c == 0:
+            cofactor //= c
+            e += 1
+        counts[c] = e
+        steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
+        if cofactor == 1:
+            return COMPLETE, 1
+        limit = isqrt(cofactor)
+        i = j + 1
 
 
 def verify(f):

@@ -9,16 +9,15 @@ otherwise runs strong probable-prime tests to the first 13 prime bases,
 which decide primality exactly below PSI13 (Sorenson and Webster,
 "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 
-``class_segments`` is the one walk over the primes of a residue class. It
-sieves each progression k*m + r along k in segments, striking the
-members divisible by a cached prime up to the square root of the
-segment's largest member, so no member is trial-divided, and yields each
-segment's primes as one ascending list. ``class_primes`` and
+``class_segments`` is the one walk over the primes of a residue class: it
+sieves the class as one masked progression a segment at a time, and a
+scan sends it where the scan stops. ``class_primes`` and
 ``primes_in_classes`` flatten it.
 """
 
 import bisect
 import itertools
+import math
 import threading
 
 from .kernel import isqrt
@@ -133,81 +132,80 @@ def prime_factors(n):
     return tuple(factors)
 
 
-# k values per segment of the class sieve: the first segment is small so
-# that a scan which stops early stays cheap, then each doubles up to the
-# cap, which bounds the sieve's memory.
+# k values per class-sieve segment: a small first one keeps an early stop
+# cheap, then each doubles up to the cap, which bounds the sieve's memory.
 _FIRST_SEGMENT = 64
 _MAX_SEGMENT = 1 << 16
 
 
 def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
-    lists, one per sieve segment; together they ascend.
+    lists, one per sieve segment of k values; together they ascend.
 
-    Sieves the members k*modulus + r of every residue r along k, one
-    segment of k values at a time, stopping past limit; with no limit
-    the walk is unbounded. A segment may yield an empty list.
+    Each member k*m + r is r0 + t*b, for r0 the least residue and b =
+    gcd(m, r - r0 for each r); a segment repeats a mask over t mod m/b, and
+    each sieving prime strikes one progression of t in it. A sparse mask
+    (period over 4 times the residue count) becomes one progression per
+    residue, their lists merged. The walk stops past limit, if any.
+
+    A scan may send where it stops: the next segment then ends at the last
+    k whose least member is at most that, but spans _FIRST_SEGMENT k values
+    or more. A stop moves only where segments end, never which primes are
+    yielded. A segment may be empty.
     """
     if not classes.residues:
         raise ValueError("candidate class has an empty residue set")
     m = classes.modulus
     residues = sorted(classes.residues)
-    # Per residue, one (step, root, k_min) per sieving prime p: the
-    # members with k = root mod step and k >= k_min are multiples of p
-    # other than p itself. When p | m every member is r mod p, so p
-    # strikes all of them (step 1) if p | r, and none otherwise.
-    plans = [[] for _ in residues]
-    planned = 0
-    k0, size = 0, _FIRST_SEGMENT
+    step = math.gcd(m, *(r - residues[0] for r in residues))
+    if m // step > 4 * len(residues):  # sparse: one progression per residue
+        step = m
+    # (start, mask, plan) per progression: sieving prime p strikes t = root
+    # mod p from t_min, its plan entry (p, root, t_min); if p | step, p
+    # strikes every member (planned as 1) when p | start, and none otherwise.
+    progressions = []
+    for start in residues if step == m else residues[:1]:
+        mask = bytearray((start + t * step) % m in classes.residues
+                         for t in range(m // step))
+        progressions.append((start, mask, []))
+    planned, k0, size, stop = 0, 0, _FIRST_SEGMENT, None
     while limit is None or k0 * m + residues[0] <= limit:
+        n = size if stop is None else min(
+            size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
         if limit is not None:
-            size = min(size, (limit - residues[0]) // m + 1 - k0)
-        primes, count = shared_primes(isqrt((k0 + size - 1) * m + residues[-1]))
-        for p in itertools.islice(primes, planned, count):
-            inverse = pow(m, -1, p) if m % p else None
-            for plan, r in zip(plans, residues):
-                k_min = -((r - p * p) // m)  # first member >= p*p
-                if inverse is not None:
-                    plan.append((p, -r * inverse % p, k_min))
-                elif r % p == 0:
-                    plan.append((1, 0, k_min))
+            n = min(n, (limit - residues[0]) // m + 1 - k0)
+        primes, count = shared_primes(isqrt((k0 + n - 1) * m + residues[-1]))
+        lists = []
+        for start, mask, plan in progressions:
+            for p in itertools.islice(primes, planned, count):
+                t_min = -((start - p * p) // step)  # first member >= p*p
+                if step % p:
+                    plan.append((p, -start * pow(step, -1, p) % p, t_min))
+                elif start % p == 0:
+                    plan.append((1, 0, t_min))
+            flags = mask * n
+            size_t, t0 = len(flags), k0 * len(mask)
+            if t0 == 0 and start < 2:  # members 0 and 1 are not prime
+                flags[: -((start - 2) // step)] = bytes(-((start - 2) // step))
+            for p, root, t_min in plan:
+                lo = max(t0, t_min)
+                i = lo - t0 + (root - lo) % p
+                if i < size_t:
+                    flags[i::p] = bytes((size_t - 1 - i) // p + 1)
+            lists.append(list(itertools.compress(range(
+                start + t0 * step, start + (t0 + size_t) * step, step), flags)))
         planned = count
-
-        survivors = sorted(
-            itertools.chain.from_iterable(
-                _sieve_segment(plan, m, r, k0, size)
-                for plan, r in zip(plans, residues)
-            )
-        )
-        if limit is not None and survivors and survivors[-1] > limit:
-            yield survivors[: bisect.bisect_right(survivors, limit)]
-            return
-        yield survivors
-        k0 += size
+        segment = lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
+        if limit is not None and segment and segment[-1] > limit:
+            segment = segment[: bisect.bisect_right(segment, limit)]
+        stop = yield segment
+        k0 += n
         size = min(2 * size, _MAX_SEGMENT)
 
 
 def class_primes(classes, limit=None):
     """The primes of class_segments one at a time, ascending."""
     return itertools.chain.from_iterable(class_segments(classes, limit))
-
-
-def _sieve_segment(plan, m, r, k0, size):
-    """Members k*m + r, k0 <= k < k0 + size, that no strike in plan hits.
-
-    These are exactly the primes among them when plan covers every prime
-    up to the square root of the largest member.
-    """
-    flags = bytearray([1]) * size
-    if k0 == 0 and r < 2:
-        flags[0] = 0
-    for step, root, k_min in plan:
-        lo = max(k0, k_min)
-        start = lo + (root - lo) % step - k0
-        if start < size:
-            flags[start::step] = bytes(len(range(start, size, step)))
-    first = k0 * m + r
-    return itertools.compress(range(first, first + size * m, m), flags)
 
 
 def primes_in_classes(limit, classes):

@@ -13,11 +13,13 @@ from fermatkit.factoring import (
     PARTIAL,
     PROPAGATED,
     Factorization,
+    FactorTrace,
     clear_cache,
     factor_mersenne,
     factor_nat,
     verify,
 )
+from fermatkit.kernel import isqrt
 from fermatkit.mersenne import mersenne, order
 
 
@@ -198,7 +200,7 @@ class TestVerify:
         assert verify(fact)
 
     def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, monkeypatch):
-        # 96 of these factors lie past the scan's sieve (8,192 from a cold
+        # 106 of these factors lie past the scan's sieve (4,096 from a cold
         # cache), the largest 67,280,421,310,721; trial division would
         # sieve to its square root.
         monkeypatch.setattr(primes, "_cached_limit", 0)
@@ -239,6 +241,58 @@ class TestClassSieveScan:
         sieved = run()
         monkeypatch.setattr(factoring, "class_segments", walk_batches)
         assert run() == sieved
+
+    def test_sieve_stops_where_the_scan_stops(self, cold_memo, monkeypatch):
+        # The factor benchmark's job, from a cold memo and sieve. A scan
+        # sends the sieve its stop, min(isqrt(cofactor), budget), so past
+        # its first stop the sieve yields at most one _FIRST_SEGMENT
+        # segment's members: 64 per residue. A hit that lowers the stop
+        # inside a segment leaves the rest of it untried, so the surplus of
+        # yielded over tried primes is bounded only for scans whose stop
+        # no hit lowered.
+        monkeypatch.setattr(primes, "_cached_limit", 0)
+        monkeypatch.setattr(primes, "_cached_primes", [])
+        scan, segments, scans = factoring._class_scan, factoring.class_segments, []
+
+        def counted_segments(classes):
+            walk, stop = segments(classes), None
+            while True:
+                try:
+                    segment = walk.send(stop)
+                except StopIteration:
+                    return
+                scans[-1]["yielded"] += segment
+                stop = yield segment
+
+        def recorded_scan(cofactor, cls, budget, steps, counts):
+            record = {"cls": cls, "yielded": []}
+            scans.append(record)
+            before = len(steps)
+            result = scan(cofactor, cls, budget, steps, counts)
+            trace = FactorTrace(tuple(steps[before:]))
+            cap = isqrt(cofactor) if budget is None else budget
+            record["first_stop"] = min(isqrt(cofactor), cap)
+            for p in trace.hits():
+                while cofactor % p == 0:
+                    cofactor //= p
+            record["last_stop"] = min(isqrt(cofactor), cap)
+            record["tried"] = trace.candidates_tried()
+            return result
+
+        monkeypatch.setattr(factoring, "class_segments", counted_segments)
+        monkeypatch.setattr(factoring, "_class_scan", recorded_scan)
+        for n in range(2, 129):
+            if n != 122:
+                factor_mersenne(n, budget=10**7)
+        assert len(scans) == 186
+        for r in scans:
+            one_segment = primes._FIRST_SEGMENT * len(r["cls"].residues)
+            past = [p for p in r["yielded"] if p > r["first_stop"]]
+            assert len(past) <= one_segment, r["cls"]
+            assert r["tried"] == r["yielded"][: len(r["tried"])]
+            if r["last_stop"] == r["first_stop"]:
+                surplus = len(r["yielded"]) - len(r["tried"])
+                assert surplus <= one_segment, r["cls"]
 
     def test_m61_completes_unbudgeted(self, cold_memo):
         fact, trace = factor_mersenne(61)

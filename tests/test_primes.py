@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fermatkit import primes
 from fermatkit.factoring import factor_mersenne
@@ -266,6 +270,56 @@ class TestClassSegments:
 
         with pytest.raises(ValueError):
             next(class_segments(Empty()))
+
+    def test_sparse_mask_stays_bounded(self, class_walk):
+        # b = gcd(m, r - r0) = 2 gives a mask of period 10**6 holding two
+        # members; as one progression each segment would span 10**6 t per
+        # k, so the class is sieved one residue at a time.
+        cls = CandidateClass(2 * 10**6, frozenset({1, 2 * 10**6 - 1}), 2)
+        start = time.perf_counter()
+        found = primes_in_classes(10**9, cls)
+        assert time.perf_counter() - start < 10  # ~0.02 s; ~22 s as one
+        assert found == list(class_walk(cls, 10**9))
+        tracemalloc.start()
+        try:
+            assert primes_in_classes(10**9, cls) == found
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@st.composite
+def classes_with_stops(draw):
+    modulus = draw(st.integers(2, 60))
+    residues = draw(st.frozensets(st.integers(0, modulus - 1), min_size=1))
+    limit = draw(st.none() | st.integers(0, 20_000))
+    stops = draw(st.lists(st.integers(0, 20_000), max_size=6))
+    return CandidateClass(modulus, residues, 2), limit, stops
+
+
+def test_sent_stops_move_only_where_segments_end(class_walk):
+    # Send each stop after a segment, then walk on unsent: bounded walks
+    # run out, unbounded ones go on past 20,000, and either way the
+    # primes up to the bound are exactly the walk's.
+    @given(classes_with_stops())
+    def check(case):
+        cls, limit, stops = case
+        if limit is None:  # Dirichlet: then some residue holds endless primes
+            assume(any(math.gcd(r, cls.modulus) == 1 for r in cls.residues))
+        bound = 20_000 if limit is None else limit
+        segments, flat, stops = class_segments(cls, limit), [], iter(stops)
+        try:
+            segment = next(segments)
+            while not flat or flat[-1] <= bound:
+                flat += segment
+                segment = segments.send(next(stops, None))
+        except StopIteration:
+            pass
+        assert flat == sorted(set(flat))
+        assert [p for p in flat if p <= bound] == list(class_walk(cls, bound))
+
+    check()
 
 
 def test_cache_growth_is_consistent():
