@@ -39,6 +39,34 @@ def trial_division():
     return trial_division_is_prime
 
 
+def trial_division_factors(n):
+    """The per-prime loop prime_factors replaced, kept as its oracle.
+
+    Ascending (prime, multiplicity) pairs of n >= 2: divides by each prime
+    in turn until p*p exceeds the cofactor, which is then prime or 1. The
+    primes come from this file's sieve, not from fermatkit.primes, doubled
+    only while the stop lies past it.
+    """
+    factors, tried = [], 0
+    for bits in itertools.count(10):
+        primes = _oracle_primes(bits)
+        for p in itertools.islice(primes, tried, None):
+            if p * p > n:
+                return tuple(factors + [(n, 1)] if n > 1 else factors)
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors.append((p, e))
+        tried = len(primes)
+
+
+@pytest.fixture
+def factor_loop():
+    return trial_division_factors
+
+
 def walk_class(classes, limit=None):
     """The per-candidate walk the class sieve replaced, kept as its oracle.
 

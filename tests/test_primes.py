@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -67,9 +69,11 @@ class TestIsPrime:
 
 @pytest.fixture
 def cold_sieve(monkeypatch):
-    """An empty prime cache, so is_prime takes its strong-test path."""
+    """An empty prime cache, so is_prime takes its strong-test path, and no
+    trial-division block products."""
     monkeypatch.setattr(primes, "_cached_limit", 0)
     monkeypatch.setattr(primes, "_cached_primes", [])
+    monkeypatch.setattr(primes, "_block_products", [])
 
 
 # psi_k: the least strong pseudoprime to the first k prime bases
@@ -149,6 +153,98 @@ class TestStrongTest:
         assert not is_prime(3 * primes.PSI13)
         with pytest.raises(ValueError, match="psi_13"):
             is_prime(primes.PSI13)
+
+
+# The last prime of one trial-division block of 32 and the first of the
+# next: primes[31], primes[32], then blocks 2|3 and 3|4.
+BLOCK_EDGES = ((131, 137), (311, 313), (503, 509))
+LARGE_PRIME = 999999937
+
+
+class TestPrimeFactors:
+    def test_matches_trial_division_to_200000(self, factor_loop):
+        for n in range(2, 2 * 10**5 + 1):
+            assert prime_factors(n) == factor_loop(n), n
+
+    def test_matches_trial_division_below_10_to_12(self, cold_sieve, factor_loop):
+        rng = random.Random(1640)
+        for n in (rng.randrange(2, 10**12) for _ in range(2000)):
+            assert prime_factors(n) == factor_loop(n), n
+
+    def test_matches_trial_division_below_2_to_40(self, factor_loop):
+        @given(st.integers(2, 2**40 - 1))
+        def check(n):
+            assert prime_factors(n) == factor_loop(n)
+
+        check()
+
+    @pytest.mark.parametrize("p,q", BLOCK_EDGES)
+    def test_block_edges(self, factor_loop, p, q):
+        # Times the prime 1000003, the stop lies past both blocks, so a
+        # block holding p or q is tried by gcd before it is divided.
+        assert primes_up_to(q)[-2:] == [p, q]
+        for n in (p * p, p * q, q * q, p * p * 1000003, p * q * 1000003,
+                  q * 1000003, 2 * p * p * q * 1013):
+            assert prime_factors(n) == factor_loop(n), n
+
+    @pytest.mark.parametrize("n", [2**44, 3**27, 2 * LARGE_PRIME, LARGE_PRIME])
+    def test_named_cases(self, factor_loop, n):
+        assert prime_factors(n) == factor_loop(n)
+
+    def test_primes_past_the_sieve(self, cold_sieve, factor_loop):
+        # 1031, the first prime past the first sieve (1024), is left as a
+        # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which
+        # doubles; in 1031 * LARGE_PRIME the cofactor left by a hit in the
+        # cached primes has its stop two doublings further on.
+        for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 2048),
+                         (4099**2, 8192), (1031 * LARGE_PRIME, 32768)):
+            assert prime_factors(n) == factor_loop(n), n
+            assert primes._cached_limit == limit, n
+
+    def test_sieve_grows_as_the_per_prime_loop_grew_it(self, cold_sieve):
+        # From a cold cache, the limits the per-prime loop left after each
+        # call: the stop still drops after each hit and the sieve doubles.
+        calls = [2**44, 1031 * 1033, 2 * LARGE_PRIME, 3**27, 4099**2,
+                 10**12 - 11, 2**3 * 999983**2, LARGE_PRIME]
+        limits = [1024, 2048, 32768, 32768, 32768, 1048576, 1048576, 1048576]
+        for n, limit in zip(calls, limits):
+            prime_factors(n)
+            assert primes._cached_limit == limit, n
+
+    def test_only_prime_factors_builds_block_products(self, cold_sieve):
+        primes_up_to(10**6)
+        primes_in_classes(10**7, euler_refined_class(31))
+        next(class_segments(generalized_class(61)))
+        assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
+        assert primes._block_products == []
+        prime_factors(LARGE_PRIME)
+        assert len(primes._block_products) == len(primes_up_to(31622)) // 32
+
+    def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop):
+        rng = random.Random(4)
+        batches = [[rng.randrange(2, 10**12) for _ in range(100)] for _ in range(4)]
+        results = [None] * len(batches)
+
+        def work(k):
+            results[k] = [prime_factors(n) for n in batches[k]]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for batch, result in zip(batches, results):
+            assert result == [factor_loop(n) for n in batch]
+        products, cached = primes._block_products, primes._cached_primes
+        assert products
+        for k, product in enumerate(products):
+            assert product == math.prod(cached[32 * k : 32 * (k + 1)]), k
 
 
 class TestPrimesInClasses:
@@ -287,6 +383,21 @@ class TestClassSegments:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_sparse_mask_inverts_the_step_once_per_prime(monkeypatch):
+    # Both residues of the sparse class share each sieving prime's inverse
+    # of the step 2*10**6; 2 and 5 divide it and need none.
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(primes, "pow", counting_pow, raising=False)
+    cls = CandidateClass(2 * 10**6, frozenset({1, 2 * 10**6 - 1}), 2)
+    primes_in_classes(10**9, cls)
+    assert len(calls) == len(primes_up_to(math.isqrt(10**9))) - 2 == 3399
 
 
 @st.composite
