@@ -14,10 +14,10 @@ each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)
 steps and its shape does not depend on where segments end.
 """
 
+import _thread
 import bisect
 import itertools
 import operator
-import threading
 from collections import namedtuple
 
 from .forms import euler_refined_class, generalized_class
@@ -87,7 +87,7 @@ def factor_nat(n):
 
 
 _memo = {}
-_memo_lock = threading.Lock()
+_memo_lock = _thread.allocate_lock()
 
 
 def clear_cache():

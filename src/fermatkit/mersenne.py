@@ -11,7 +11,7 @@ surface as a False return (or a failed cross-check), never be assumed.
 from collections import namedtuple
 
 from .kernel import Record, divisors, gcd
-from .primes import is_prime, prime_factors
+from .primes import PSI13, is_prime, prime_factors
 
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
@@ -50,7 +50,8 @@ def order(base, modulus):
 
     Requires base >= 2, modulus >= 3, gcd(base, modulus) == 1; without
     coprimality no power of the base is ever 1 mod the modulus. k starts at
-    φ(modulus), checked to be a multiple of the order (Euler), and loses
+    φ(modulus), modulus - 1 for a prime below PSI13 and otherwise from its
+    factorization, checked to be a multiple of the order (Euler), and loses
     each prime q of φ while base**(k/q) stays 1.
     """
     if base < 2:
@@ -61,9 +62,12 @@ def order(base, modulus):
         raise ValueError(
             f"no exponent exists: gcd({base}, {modulus}) != 1"
         )
-    k = 1
-    for p, e in prime_factors(modulus):
-        k *= p ** (e - 1) * (p - 1)
+    if modulus < PSI13 and is_prime(modulus):
+        k = modulus - 1
+    else:
+        k = 1
+        for p, e in prime_factors(modulus):
+            k *= p ** (e - 1) * (p - 1)
     if pow(base, k, modulus) != 1:
         raise AssertionError(f"Euler check fails: {base}**{k} mod {modulus} != 1")
     for q, _ in prime_factors(k):

@@ -16,14 +16,17 @@ the blocks it reaches; like the primes, they are replaced under the lock.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 sieves the class as one masked progression a segment at a time, and a
-scan sends it where the scan stops. ``class_primes`` and
-``primes_in_classes`` flatten it.
+scan sends it where the scan stops. Segments grow 8x from 64 k values up
+to a cap, and each sieving prime carries a running offset, the next
+member it strikes, from segment to segment (the segmented sieve for
+arithmetic progressions of Bays and Hudson, BIT 17, 1977).
+``class_primes`` and ``primes_in_classes`` flatten it.
 """
 
+import _thread
 import bisect
 import itertools
 import math
-import threading
 
 from .kernel import isqrt
 
@@ -40,7 +43,7 @@ def _sieve_list(limit):
     return list(itertools.compress(range(limit + 1), flags))
 
 
-_lock = threading.RLock()
+_lock = _thread.RLock()
 _cached_limit = 0
 _cached_primes = []
 
@@ -197,8 +200,10 @@ def prime_factors(n):
 
 
 # k values per class-sieve segment: a small first one keeps an early stop
-# cheap, then each doubles up to the cap, which bounds the sieve's memory.
+# cheap, then each is _GROWTH times the last (64, 512, 4,096, 32,768) up
+# to the cap, which bounds the sieve's memory.
 _FIRST_SEGMENT = 64
+_GROWTH = 8
 _MAX_SEGMENT = 1 << 16
 
 
@@ -212,10 +217,14 @@ def class_segments(classes, limit=None):
     (period over 4 times the residue count) becomes one progression per
     residue, their lists merged. The walk stops past limit, if any.
 
+    Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
+    to _MAX_SEGMENT. A sieving prime's offset is found once, when a segment
+    first reaches its square; each segment carries it past its end.
+
     A scan may send where it stops: the next segment then ends at the last
     k whose least member is at most that, but spans _FIRST_SEGMENT k values
-    or more. A stop moves only where segments end, never which primes are
-    yielded. A segment may be empty.
+    or more, and the one after grows from it. A stop moves only where
+    segments end, never which primes are yielded. A segment may be empty.
     """
     if not classes.residues:
         raise ValueError("candidate class has an empty residue set")
@@ -224,9 +233,10 @@ def class_segments(classes, limit=None):
     step = math.gcd(m, *(r - residues[0] for r in residues))
     if m // step > 4 * len(residues):  # sparse: one progression per residue
         step = m
-    # (start, mask, plan) per progression: sieving prime p strikes t = root
-    # mod p from t_min, its plan entry (p, root, t_min); if p | step, p
-    # strikes every member (planned as 1) when p | start, and none otherwise.
+    # (start, mask, plan) per progression: sieving prime p strikes each t
+    # with p | start + t*step from the first member >= p*p; its plan entry
+    # [p, t] holds the next t it strikes. If p | step, p strikes every
+    # member (planned with stride 1) when p | start, and none otherwise.
     progressions = []
     for start in residues if step == m else residues[:1]:
         mask = bytearray((start + t * step) % m in classes.residues
@@ -239,25 +249,29 @@ def class_segments(classes, limit=None):
         if limit is not None:
             n = min(n, (limit - residues[0]) // m + 1 - k0)
         primes, count = shared_primes(isqrt((k0 + n - 1) * m + residues[-1]))
+        t0 = k0 * (m // step)
         for p in itertools.islice(primes, planned, count):
             inverse = pow(step, -1, p) if step % p else 0  # one per prime
             for start, _mask, plan in progressions:
-                t_min = -((start - p * p) // step)  # first member >= p*p
+                # from the first member >= p*p, but not before this segment
+                t = max(t0, -((start - p * p) // step))
                 if inverse:
-                    plan.append((p, -start * inverse % p, t_min))
+                    plan.append([p, t + (-start * inverse - t) % p])
                 elif start % p == 0:
-                    plan.append((1, 0, t_min))
+                    plan.append([1, t])
         lists = []
         for start, mask, plan in progressions:
             flags = mask * n
-            size_t, t0 = len(flags), k0 * len(mask)
+            size_t = len(flags)
             if t0 == 0 and start < 2:  # members 0 and 1 are not prime
                 flags[: -((start - 2) // step)] = bytes(-((start - 2) // step))
-            for p, root, t_min in plan:
-                lo = max(t0, t_min)
-                i = lo - t0 + (root - lo) % p
+            for entry in plan:
+                i = entry[1] - t0
                 if i < size_t:
-                    flags[i::p] = bytes((size_t - 1 - i) // p + 1)
+                    p = entry[0]
+                    strikes = (size_t - 1 - i) // p + 1
+                    flags[i::p] = bytes(strikes)
+                    entry[1] += strikes * p
             lists.append(list(itertools.compress(range(
                 start + t0 * step, start + (t0 + size_t) * step, step), flags)))
         planned = count
@@ -266,7 +280,7 @@ def class_segments(classes, limit=None):
             segment = segment[: bisect.bisect_right(segment, limit)]
         stop = yield segment
         k0 += n
-        size = min(2 * size, _MAX_SEGMENT)
+        size = min(_GROWTH * n, _MAX_SEGMENT)
 
 
 def class_primes(classes, limit=None):

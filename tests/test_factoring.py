@@ -249,7 +249,8 @@ class TestClassSieveScan:
         # segment's members: 64 per residue. A hit that lowers the stop
         # inside a segment leaves the rest of it untried, so the surplus of
         # yielded over tried primes is bounded only for scans whose stop
-        # no hit lowered.
+        # no hit lowered. Segments growing 8x read 404 segments in all
+        # (4x read 454, doubling 613); the bound keeps the schedule there.
         monkeypatch.setattr(primes, "_cached_limit", 0)
         monkeypatch.setattr(primes, "_cached_primes", [])
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
@@ -262,10 +263,11 @@ class TestClassSieveScan:
                 except StopIteration:
                     return
                 scans[-1]["yielded"] += segment
+                scans[-1]["segments"] += 1
                 stop = yield segment
 
         def recorded_scan(cofactor, cls, budget, steps, counts):
-            record = {"cls": cls, "yielded": []}
+            record = {"cls": cls, "yielded": [], "segments": 0}
             scans.append(record)
             before = len(steps)
             result = scan(cofactor, cls, budget, steps, counts)
@@ -285,6 +287,7 @@ class TestClassSieveScan:
             if n != 122:
                 factor_mersenne(n, budget=10**7)
         assert len(scans) == 186
+        assert sum(r["segments"] for r in scans) <= 420
         for r in scans:
             one_segment = primes._FIRST_SEGMENT * len(r["cls"].residues)
             past = [p for p in r["yielded"] if p > r["first_stop"]]

@@ -109,6 +109,36 @@ class TestOrder:
         for q in _prime_divisors(k):
             assert pow(base, k // q, modulus) != 1, q
 
+    def test_prime_modulus_is_not_factored(self, monkeypatch):
+        # φ(p) = p - 1 for a prime p below psi_13, so only p - 1 is
+        # factored; a composite, and any modulus at or past psi_13, still
+        # factors the modulus itself.
+        calls, prime_factors = [], mersenne_module.prime_factors
+
+        def counting_factors(n):
+            calls.append(n)
+            return prime_factors(n)
+
+        monkeypatch.setattr(mersenne_module, "prime_factors", counting_factors)
+        for p in (3, 683, 1000003, 10**9 + 7, 10**12 + 39, 2**61 - 1):
+            calls.clear()
+            assert pow(2, order(2, p).order, p) == 1
+            assert calls == [p - 1], p
+        for m in (10**12 + 1, 3**60):
+            calls.clear()
+            order(2, m)
+            assert calls[0] == m, m
+
+    def test_unchanged_for_odd_moduli_to_30000(self, factor_loop):
+        # The least k with 2**k = 1 mod m: it divides φ(m), from the
+        # oracle's factorization of m, and no k/q is an exponent.
+        for m in range(3, 30000, 2):
+            k = order(2, m).order
+            phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factor_loop(m))
+            assert phi % k == 0 and pow(2, k, m) == 1, m
+            for q, _ in factor_loop(k) if k > 1 else ():
+                assert pow(2, k // q, m) != 1, m
+
     def test_euler_check_failure_raises(self, monkeypatch):
         # A wrong factorization of the modulus gives a wrong φ.
         monkeypatch.setattr(mersenne_module, "prime_factors", lambda n: ((n, 1),))

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -383,6 +384,40 @@ class TestClassSegments:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_first_members_past_a_sieving_square(self, class_walk):
+        # The class starts at 5 > 2*2, so the first member >= 2*2 would be
+        # t = -1, before the first segment: 2's offset must start at t = 0.
+        cls = CandidateClass(13, frozenset({5, 6, 8, 10}), 2)
+        sieved = list(itertools.islice(class_primes(cls), 3000))
+        assert sieved == list(itertools.islice(class_walk(cls), 3000))
+
+    def test_stride_one_offsets_carry_across_segments(self, class_walk):
+        # Sparse, one progression per residue: 2 and 5 divide the step
+        # 100 and the starts 2 and 5, so each strikes every member of its
+        # progression past itself, a stride-1 entry carried from segment
+        # to segment.
+        cls = CandidateClass(100, frozenset({2, 3, 5}), 2)
+        segments, flat, read = class_segments(cls), [], 0
+        while len(flat) < 1500:
+            flat += next(segments)
+            read += 1
+        assert read >= 4  # k past 4,672: three segment boundaries crossed
+        assert flat[:3] == [2, 3, 5]
+        assert flat == list(itertools.islice(class_walk(cls), len(flat)))
+
+    @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
+                             ids=["refined-61", "generalized-116"])
+    def test_limits_at_segment_boundaries(self, class_walk, cls):
+        # Segments of 64, 512, 4,096 and 32,768 k values end at k = 64,
+        # 576, 4,672 and 37,440; a limit just below or at the first member
+        # of the next segment ends the walk in one or the other.
+        m, r0 = cls.modulus, min(cls.residues)
+        bounds = [k * m + r0 + d for k in (64, 576, 4672, 37440) for d in (-1, 0)]
+        walk = list(class_walk(cls, bounds[-1]))
+        for limit in bounds:
+            expected = walk[: bisect.bisect_right(walk, limit)]
+            assert primes_in_classes(limit, cls) == expected, limit
 
 
 def test_sparse_mask_inverts_the_step_once_per_prime(monkeypatch):
