@@ -1,18 +1,17 @@
 """Prime generation and deterministic primality testing.
 
-A single module-level sieve cache backs ``primes_up_to``,
+A single module-level sieve cache backs ``primes_up_to``, ``is_prime``,
 ``prime_factors`` and the class sieve. It grows on demand (doubling
-until sufficient) and is rebuilt as a fresh list under a lock, so
-concurrent readers only ever see complete tables. ``is_prime`` never
-grows it: it looks n up in the cached primes when n is in range, and
-otherwise runs strong probable-prime tests to the first 13 prime bases,
-which decide primality exactly below PSI13 (Sorenson and Webster,
-"Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+until sufficient), keeps the sieve's flag bytearray beside its prime
+list, and replaces both under a lock, so concurrent readers only ever
+see complete tables. ``is_prime`` never grows it: it reads n's flag when
+n is in range, and otherwise runs strong probable-prime tests to the
+first 13 prime bases, which decide primality exactly below PSI13
+(Sorenson and Webster, Math. Comp. 86, 2017).
 
-``prime_factors`` divides by the cached primes in blocks of 32: past the
-first, a block that shares no factor with the cofactor is passed with one
-gcd against its product. Only ``prime_factors`` builds the products, for
-the blocks it reaches; like the primes, they are replaced under the lock.
+``prime_factors`` tries the cached primes in blocks of 32, one gcd
+against each block's product. Only it builds the products, for the
+blocks it reaches; like the primes, they are replaced under the lock.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 sieves the class as one masked progression a segment at a time, and a
@@ -31,35 +30,35 @@ import math
 from .kernel import isqrt
 
 
-def _sieve_list(limit):
-    """Sieve of Eratosthenes: list of all primes <= limit."""
-    if limit < 2:
-        return []
+def _sieve(limit):
+    """Sieve of Eratosthenes: (flags, primes), flags[n] = 1 iff n is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(itertools.compress(range(limit + 1), flags))
+    return flags, list(itertools.compress(range(limit + 1), flags))
 
 
 _lock = _thread.RLock()
 _cached_limit = 0
 _cached_primes = []
+_cached_flags = b""
 
 
 def shared_primes(limit):
     """The shared prime list and how many of its primes are <= limit.
 
     The list is the cache itself, not a copy: callers read it and never
-    mutate it. Growth replaces the list and never changes an old one, so
-    the reference stays valid after the lock is released.
+    mutate it. Growth replaces the flags, then the list, never changing old
+    ones, so a reference stays valid after the lock is released; flags
+    newer than a list are still exact, each a complete sieve of its range.
     """
-    global _cached_limit, _cached_primes
+    global _cached_limit, _cached_primes, _cached_flags
     with _lock:
         if limit > max(_cached_limit, 1):
             target = max(limit, 2 * _cached_limit, 1 << 10)
-            _cached_primes = _sieve_list(target)
+            _cached_flags, _cached_primes = _sieve(target)
             _cached_limit = target
         primes = _cached_primes
     return primes, bisect.bisect_right(primes, limit)
@@ -81,14 +80,14 @@ PSI13 = 3317044064679887385961981
 def is_prime(n):
     """True iff n is prime, without growing the sieve.
 
-    n up to the largest cached prime is looked up by bisection. Past it,
-    n is divided by the 13 bases 2..41 and then, below PSI13, given the
-    strong test to each base. n >= PSI13 without a factor <= 41 raises
+    0 <= n <= the sieve's limit is answered by n's flag. Past it, n is
+    divided by the 13 bases 2..41 and then, below PSI13, given the strong
+    test to each base. n >= PSI13 without a factor <= 41 raises
     ValueError, since no base set here is proven exact for it.
     """
-    primes = _cached_primes  # replaced, never mutated, by growth
-    if primes and n <= primes[-1]:
-        return primes[bisect.bisect_left(primes, n)] == n
+    flags = _cached_flags  # replaced, never mutated, by growth
+    if 0 <= n < len(flags):
+        return flags[n] == 1
     if n < 2:
         return False
     for a in _BASES:
@@ -142,34 +141,35 @@ def _products(primes, blocks):
 def _divide_out(n, primes, i, count, factors):
     """The cofactor of n once primes[i:count] up to its square root are out.
 
-    Appends (p, e) to factors for each p that divides n. Primes are divided
-    one by one, to the p*p > n stop, up to the end of the block holding i,
-    so the first block always is. While a whole block follows below the
-    stop, the blocks up to the stop are tried by one gcd each; the first
-    that shares a factor with n, the one that straddles the stop and a
-    partial last block are divided one by one.
+    Appends (p, e) to factors for each p that divides n. Each block, or
+    its slice where i or count cuts it, whose first prime is at most the
+    square root of n is tried by one gcd g with its product. A g that the
+    flags call prime is divided out at once; another g > 1 is used up by a
+    walk over the block. A run of whole blocks below the stop is tried by
+    one gcd each, up to the first that shares a factor with n. The flags,
+    read after primes, cover each prime g; newer ones are exact too.
     """
-    while i < count:
-        end = (i // _BLOCK + 1) * _BLOCK
-        if end + _BLOCK > count:  # no whole block follows: divide to count
-            end = count
-        for p in itertools.islice(primes, i, end):
-            if p * p > n:
-                return n
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors.append((p, e))
-        if end < count and primes[end + _BLOCK - 1] ** 2 <= n:
+    flags = _cached_flags
+    while i < count and primes[i] ** 2 <= n:
+        end = min(i - i % _BLOCK + _BLOCK, count)
+        g = math.gcd(n, math.prod(primes[i:end]) if end - i < _BLOCK
+                     else _products(primes, end // _BLOCK)[i // _BLOCK])
+        if g > 1:
+            for p in (g,) if g < len(flags) and flags[g] else primes[i:end]:
+                if g % p == 0:
+                    g, e = g // p, 0
+                    while n % p == 0:
+                        n, e = n // p, e + 1
+                    factors.append((p, e))
+                    if g == 1:
+                        break
+        elif end + _BLOCK <= count and primes[end + _BLOCK - 1] ** 2 <= n:
             stop = bisect.bisect_right(primes, isqrt(n), end, count) // _BLOCK
             blocks = itertools.islice(_products(primes, stop), end // _BLOCK, stop)
             shares = map((1).__lt__, map(math.gcd, itertools.repeat(n), blocks))
-            i = next(itertools.compress(itertools.count(end, _BLOCK), shares),
-                     stop * _BLOCK)
-        else:
-            i = end
+            end = next(itertools.compress(itertools.count(end, _BLOCK), shares),
+                       stop * _BLOCK)
+        i = end
     return n
 
 
@@ -177,10 +177,10 @@ def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2, by trial division.
 
     Tries the cached primes first; grows the sieve only while p*p <= the
-    cofactor. Past the first block of 32 primes, a whole block below the
-    cofactor's square root that shares no factor with it is passed with
-    one gcd against the product of its primes. The cofactor left when no
-    prime up to its square root divides it is prime.
+    cofactor. Each block of 32 primes below the cofactor's square root is
+    tried by one gcd against the product of its primes, and is walked
+    only if that gcd is composite. The cofactor left when no prime up to
+    its square root divides it is prime.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")

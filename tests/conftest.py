@@ -7,15 +7,22 @@ import pytest
 
 
 @functools.cache
-def _oracle_primes(bits):
-    """Primes below 2**bits, by this file's own sieve of Eratosthenes."""
+def _oracle_flags(bits):
+    """Flags for 0 .. 2**bits - 1, 1 iff prime, by this file's own sieve of
+    Eratosthenes."""
     limit = 1 << bits
     flags = bytearray([1]) * limit
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit - 1) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return list(itertools.compress(range(limit), flags))
+    return flags
+
+
+@functools.cache
+def _oracle_primes(bits):
+    """Primes below 2**bits, from this file's own sieve."""
+    return list(itertools.compress(range(1 << bits), _oracle_flags(bits)))
 
 
 def trial_division_is_prime(n):
@@ -32,6 +39,18 @@ def trial_division_is_prime(n):
         if n % p == 0:
             return False
     return True
+
+
+@pytest.fixture
+def cold_sieve(monkeypatch):
+    """An empty sieve cache: no limit, primes or flags, so is_prime takes
+    its strong-test path, and no trial-division block products."""
+    from fermatkit import primes
+
+    monkeypatch.setattr(primes, "_cached_limit", 0)
+    monkeypatch.setattr(primes, "_cached_primes", [])
+    monkeypatch.setattr(primes, "_cached_flags", b"")
+    monkeypatch.setattr(primes, "_block_products", [])
 
 
 @pytest.fixture
@@ -67,19 +86,31 @@ def factor_loop():
     return trial_division_factors
 
 
+# The largest flag table walk_class grows: past it, a walk as sparse as a
+# class of modulus 2*10**6 to 10**9 trial-divides its few members instead.
+_WALK_FLAG_BITS = 24
+
+
 def walk_class(classes, limit=None):
     """The per-candidate walk the class sieve replaced, kept as its oracle.
 
-    Ascending k*modulus + r for k = 0, 1, ... and each residue r, with
-    trial_division_is_prime on every member; stops past limit.
+    Ascending k*modulus + r for k = 0, 1, ... and each residue r; stops
+    past limit. Each member's primality is its flag in this file's sieve,
+    doubled as the walk passes its end, up to 2**_WALK_FLAG_BITS; past
+    that, trial_division_is_prime decides it.
     """
     residues = sorted(classes.residues)
+    bits = 10
+    flags = _oracle_flags(bits)
     for base in itertools.count(0, classes.modulus):
         for r in residues:
             c = base + r
             if limit is not None and c > limit:
                 return
-            if trial_division_is_prime(c):
+            while c >= len(flags) and bits < _WALK_FLAG_BITS:
+                bits += 1
+                flags = _oracle_flags(bits)
+            if flags[c] if c < len(flags) else trial_division_is_prime(c):
                 yield c
 
 

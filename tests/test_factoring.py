@@ -199,12 +199,10 @@ class TestVerify:
         fact, _ = factor_mersenne(37, budget=223)
         assert verify(fact)
 
-    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, monkeypatch):
+    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, cold_sieve):
         # 106 of these factors lie past the scan's sieve (4,096 from a cold
         # cache), the largest 67,280,421,310,721; trial division would
         # sieve to its square root.
-        monkeypatch.setattr(primes, "_cached_limit", 0)
-        monkeypatch.setattr(primes, "_cached_primes", [])
         exponents = [n for n in range(2, 129) if n != 122]
         facts = [factor_mersenne(n, budget=10**7)[0] for n in exponents]
         limit = primes._cached_limit
@@ -242,7 +240,7 @@ class TestClassSieveScan:
         monkeypatch.setattr(factoring, "class_segments", walk_batches)
         assert run() == sieved
 
-    def test_sieve_stops_where_the_scan_stops(self, cold_memo, monkeypatch):
+    def test_sieve_stops_where_the_scan_stops(self, cold_memo, cold_sieve, monkeypatch):
         # The factor benchmark's job, from a cold memo and sieve. A scan
         # sends the sieve its stop, min(isqrt(cofactor), budget), so past
         # its first stop the sieve yields at most one _FIRST_SEGMENT
@@ -251,8 +249,6 @@ class TestClassSieveScan:
         # yielded over tried primes is bounded only for scans whose stop
         # no hit lowered. Segments growing 8x read 404 segments in all
         # (4x read 454, doubling 613); the bound keeps the schedule there.
-        monkeypatch.setattr(primes, "_cached_limit", 0)
-        monkeypatch.setattr(primes, "_cached_primes", [])
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
 
         def counted_segments(classes):

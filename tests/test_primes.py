@@ -13,6 +13,7 @@ from hypothesis import assume, given, strategies as st
 from fermatkit import primes
 from fermatkit.factoring import factor_mersenne
 from fermatkit.forms import CandidateClass, euler_refined_class, generalized_class
+from fermatkit.kernel import isqrt
 from fermatkit.mersenne import is_mersenne_prime, mersenne, order
 from fermatkit.primes import (
     class_primes,
@@ -67,14 +68,35 @@ class TestIsPrime:
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
 
+    # Sieves grown from cold and the flag table each leaves: 1031 is prime,
+    # so one side of the table's end holds it; 1030 then 1031 doubles.
+    @pytest.mark.parametrize("growth,size", [
+        ((), 0), ((1030,), 1031), ((1031,), 1032), ((1030, 1031), 2061),
+        ((4099,), 4100)])
+    def test_flag_table_edges(self, cold_sieve, trial_division, growth, size):
+        for limit in growth:
+            primes_up_to(limit)
+        assert len(primes._cached_flags) == size
+        for n in (-2, -1, 0, 1, size - 1, size, size + 1):
+            assert is_prime(n) is trial_division(n), n
 
-@pytest.fixture
-def cold_sieve(monkeypatch):
-    """An empty prime cache, so is_prime takes its strong-test path, and no
-    trial-division block products."""
-    monkeypatch.setattr(primes, "_cached_limit", 0)
-    monkeypatch.setattr(primes, "_cached_primes", [])
-    monkeypatch.setattr(primes, "_block_products", [])
+    def test_flags_newer_than_the_list(
+        self, cold_sieve, monkeypatch, trial_division, factor_loop
+    ):
+        # A reader that took the list before a growth and the flags after
+        # it: each is a complete sieve of its own range, so both stay exact.
+        # Below 1024**2 no call grows the sieve past the old list's 1024;
+        # 2..20,000 has composite and prime block gcds, 137 * 139 among them.
+        old = primes.shared_primes(1024)[0]
+        primes_up_to(10**5)
+        monkeypatch.setattr(primes, "_cached_limit", 1024)
+        monkeypatch.setattr(primes, "_cached_primes", old)
+        for n in range(-2, 10**5 + 2):
+            assert is_prime(n) is trial_division(n), n
+        for n in range(2, 20000):
+            assert prime_factors(n) == factor_loop(n), n
+        assert primes._cached_primes is old
+        assert len(primes._cached_flags) == 10**5 + 1
 
 
 # psi_k: the least strong pseudoprime to the first k prime bases
@@ -149,7 +171,7 @@ class TestStrongTest:
         def no_sieve(limit):
             raise AssertionError(f"is_prime sieved to {limit}")
 
-        monkeypatch.setattr(primes, "_sieve_list", no_sieve)
+        monkeypatch.setattr(primes, "_sieve", no_sieve)
         assert is_prime(2**61 - 1)
         assert not is_prime(3 * primes.PSI13)
         with pytest.raises(ValueError, match="psi_13"):
@@ -160,6 +182,22 @@ class TestStrongTest:
 # next: primes[31], primes[32], then blocks 2|3 and 3|4.
 BLOCK_EDGES = ((131, 137), (311, 313), (503, 509))
 LARGE_PRIME = 999999937
+# n whose gcd with a block's product is composite, so the block is walked:
+# in the first block (2..131), and in the second (137..311), which the gcd
+# run over whole blocks reaches.
+COMPOSITE_GCDS = (2 * 3 * 5 * 7 * 131**2, 3 * 5 * 7 * 11, 3 * 5 * 7 * 127,
+                  3 * 5 * 7 * 131, 137 * 139 * 149, 137**2 * 311 * 1000003)
+# n whose gcd with a block's product is one prime of multiplicity above 1.
+PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
+
+
+@pytest.fixture(params=["cold", "warm"])
+def sieve_state(request):
+    """A cold sieve, or one already grown to 10**5."""
+    if request.param == "cold":
+        request.getfixturevalue("cold_sieve")
+    else:
+        primes_up_to(10**5)
 
 
 class TestPrimeFactors:
@@ -188,9 +226,22 @@ class TestPrimeFactors:
                   q * 1000003, 2 * p * p * q * 1013):
             assert prime_factors(n) == factor_loop(n), n
 
-    @pytest.mark.parametrize("n", [2**44, 3**27, 2 * LARGE_PRIME, LARGE_PRIME])
+    # The last four are primes of the first block of 32.
+    @pytest.mark.parametrize("n", [2**44, 3**27, 2 * LARGE_PRIME, LARGE_PRIME,
+                                   2, 3, 127, 131])
     def test_named_cases(self, factor_loop, n):
         assert prime_factors(n) == factor_loop(n)
+
+    @pytest.mark.parametrize("n", COMPOSITE_GCDS + PRIME_POWERS)
+    def test_block_gcds(self, sieve_state, factor_loop, n):
+        assert prime_factors(n) == factor_loop(n)
+
+    @pytest.mark.parametrize("n", [509**2, 509 * 521, 1031 * 1033, LARGE_PRIME])
+    def test_partial_last_block(self, sieve_state, factor_loop, n):
+        # isqrt(n) lies inside a block of 32, so the last block is cut: 509
+        # is the cut slice's one prime, and 521 the cofactor past it.
+        assert prime_factors(n) == factor_loop(n)
+        assert len(primes_up_to(isqrt(n))) % 32
 
     def test_primes_past_the_sieve(self, cold_sieve, factor_loop):
         # 1031, the first prime past the first sieve (1024), is left as a
@@ -475,11 +526,9 @@ def test_cache_growth_is_consistent():
     assert primes_up_to(100) == small
 
 
-def test_smooth_numbers_leave_the_sieve_small(monkeypatch):
+def test_smooth_numbers_leave_the_sieve_small(cold_sieve):
     # From a cold cache: 2**44 loses its only prime at once, so nothing
     # past the first sieve (1024) is needed, not isqrt(2**44) = 4,194,304.
-    monkeypatch.setattr(primes, "_cached_limit", 0)
-    monkeypatch.setattr(primes, "_cached_primes", [])
     assert prime_factors(2**44) == ((2, 44),)
     assert primes._cached_limit <= 1024
     assert order(3, 2**44).order == 2**42
