@@ -2,15 +2,15 @@
 
 ``mersenne`` is the one place 2**n - 1 is built, and ``is_mersenne_prime``
 (Lucas-Lehmer) the one place its primality is decided. The other
-operations are verifiers: each one recomputes a claimed divisibility
-fact from scratch and reports whether it holds, so a false claim would
-surface as a False return (or a failed cross-check), never be assumed.
+operations recompute a claimed divisibility fact and report whether it
+holds, but ``divisibility_conjecture_check`` cannot report False: its
+order comes from p - 1 (ROADMAP item 5 is the check that can fail).
 ``order`` finds a multiplicative order by φ reduction with an Euler check.
 """
 
 from collections import namedtuple
 
-from .kernel import Record, divisors, gcd
+from .kernel import Record, gcd
 from .primes import PSI13, is_prime, prime_factors
 
 
@@ -88,8 +88,8 @@ def flt_check(p, a):
 def divisibility_conjecture_check(p):
     """(k, holds): k = order of 2 mod p, holds = k divides p - 1.
 
-    k comes from ``order``, whose Euler check raises AssertionError if
-    Fermat's theorem fails for p (2**(p-1) not 1 mod p).
+    holds is True by construction, since ``order`` finds k by reducing
+    p - 1; ROADMAP item 5 plans a check that can fail.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"requires an odd prime, got {p}")
@@ -136,10 +136,10 @@ def second_proposition_check(p):
 def first_proposition_witness(n):
     """(d, M_d) witnessing that a composite exponent gives a composite value.
 
-    d is the smallest prime divisor of n; 2**d - 1 is then a proper
-    divisor of 2**n - 1.
+    d is the smallest prime divisor of n, the first of 2, 3, ... to divide
+    it; 2**d - 1 is then a proper divisor of 2**n - 1.
     """
     if n < 4 or is_prime(n):
         raise ValueError(f"requires a composite n >= 4, got {n}")
-    d = next(x for x in divisors(n) if x > 1)
+    d = next(d for d in range(2, n) if n % d == 0)
     return d, mersenne(d)

@@ -14,12 +14,12 @@ against each block's product. Only it builds the products, for the
 blocks it reaches; like the primes, they are replaced under the lock.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
-sieves the class as one masked progression a segment at a time, and a
-scan sends it where the scan stops. Segments grow 8x from 64 k values up
-to a cap, and each sieving prime carries a running offset, the next
-member it strikes, from segment to segment (the segmented sieve for
+sieves each residue's progression a segment at a time and merges them,
+and a scan sends it where the scan stops. Segments grow 8x from 64 k
+values up to a cap, and each sieving prime carries a running offset, the
+next member it strikes, from segment to segment (the segmented sieve for
 arithmetic progressions of Bays and Hudson, BIT 17, 1977).
-``class_primes`` and ``primes_in_classes`` flatten it.
+``primes_in_classes`` flattens it.
 """
 
 import _thread
@@ -211,11 +211,12 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each member k*m + r is r0 + t*b, for r0 the least residue and b =
-    gcd(m, r - r0 for each r); a segment repeats a mask over t mod m/b, and
-    each sieving prime strikes one progression of t in it. A sparse mask
-    (period over 4 times the residue count) becomes one progression per
-    residue, their lists merged. The walk stops past limit, if any.
+    Each residue r is its own progression r + k*m, sieved a segment of k
+    values at a time, and each sieving prime strikes one progression of k
+    in it; the segment's per-residue lists are merged. The walk stops past
+    limit, if any. Each residue keeps its own plan entry per sieving prime:
+    the library's classes have one or two residues, but the 480 units mod
+    2310 take about 2.3 s to 10**8 on a 2-core host.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT. A sieving prime's offset is found once, when a segment
@@ -230,64 +231,48 @@ def class_segments(classes, limit=None):
         raise ValueError("candidate class has an empty residue set")
     m = classes.modulus
     residues = sorted(classes.residues)
-    step = math.gcd(m, *(r - residues[0] for r in residues))
-    if m // step > 4 * len(residues):  # sparse: one progression per residue
-        step = m
-    # (start, mask, plan) per progression: sieving prime p strikes each t
-    # with p | start + t*step from the first member >= p*p; its plan entry
-    # [p, t] holds the next t it strikes. If p | step, p strikes every
-    # member (planned with stride 1) when p | start, and none otherwise.
-    progressions = []
-    for start in residues if step == m else residues[:1]:
-        mask = bytearray((start + t * step) % m in classes.residues
-                         for t in range(m // step))
-        progressions.append((start, mask, []))
+    cap = math.inf if limit is None else limit + 1
+    # Sieving prime p strikes each k with p | r + k*m from the first member
+    # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
+    # p | m, p strikes every member (stride 1) when p | r, none otherwise.
+    plans = [[] for _ in residues]
     planned, k0, size, stop = 0, 0, _FIRST_SEGMENT, None
-    while limit is None or k0 * m + residues[0] <= limit:
+    while k0 * m + residues[0] < cap:
         n = size if stop is None else min(
             size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
         if limit is not None:
             n = min(n, (limit - residues[0]) // m + 1 - k0)
         primes, count = shared_primes(isqrt((k0 + n - 1) * m + residues[-1]))
-        t0 = k0 * (m // step)
         for p in itertools.islice(primes, planned, count):
-            inverse = pow(step, -1, p) if step % p else 0  # one per prime
-            for start, _mask, plan in progressions:
+            inverse = pow(m, -1, p) if m % p else 0  # one per prime
+            for r, plan in zip(residues, plans):
                 # from the first member >= p*p, but not before this segment
-                t = max(t0, -((start - p * p) // step))
+                k = max(k0, -((r - p * p) // m))
                 if inverse:
-                    plan.append([p, t + (-start * inverse - t) % p])
-                elif start % p == 0:
-                    plan.append([1, t])
+                    plan.append([p, k + (-r * inverse - k) % p])
+                elif r % p == 0:
+                    plan.append([1, k])
         lists = []
-        for start, mask, plan in progressions:
-            flags = mask * n
-            size_t = len(flags)
-            if t0 == 0 and start < 2:  # members 0 and 1 are not prime
-                flags[: -((start - 2) // step)] = bytes(-((start - 2) // step))
+        for r, plan in zip(residues, plans):
+            members = range(k0 * m + r, min((k0 + n) * m + r, cap), m)
+            width = len(members)
+            flags = bytearray([1]) * width
+            if members and members[0] < 2:  # 0 and 1 are not prime
+                flags[0] = 0
             for entry in plan:
-                i = entry[1] - t0
-                if i < size_t:
+                i = entry[1] - k0
+                if i < width:
                     p = entry[0]
-                    strikes = (size_t - 1 - i) // p + 1
+                    strikes = (width - 1 - i) // p + 1
                     flags[i::p] = bytes(strikes)
                     entry[1] += strikes * p
-            lists.append(list(itertools.compress(range(
-                start + t0 * step, start + (t0 + size_t) * step, step), flags)))
+            lists.append(list(itertools.compress(members, flags)))
         planned = count
-        segment = lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
-        if limit is not None and segment and segment[-1] > limit:
-            segment = segment[: bisect.bisect_right(segment, limit)]
-        stop = yield segment
+        stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
         k0 += n
         size = min(_GROWTH * n, _MAX_SEGMENT)
 
 
-def class_primes(classes, limit=None):
-    """The primes of class_segments one at a time, ascending."""
-    return itertools.chain.from_iterable(class_segments(classes, limit))
-
-
 def primes_in_classes(limit, classes):
     """Primes p <= limit with p mod classes.modulus in classes.residues."""
-    return list(class_primes(classes, limit))
+    return list(itertools.chain.from_iterable(class_segments(classes, limit)))

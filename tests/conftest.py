@@ -25,6 +25,12 @@ def _oracle_primes(bits):
     return list(itertools.compress(range(1 << bits), _oracle_flags(bits)))
 
 
+@pytest.fixture
+def oracle_primes():
+    """Primes below 2**bits from this file's sieve, as a function of bits."""
+    return _oracle_primes
+
+
 def trial_division_is_prime(n):
     """The trial division is_prime used before the strong test, as its oracle.
 

@@ -260,6 +260,14 @@ class TestFirstProposition:
             assert n % d == 0 and 1 < d < n
             assert value % factor == 0 and 1 < factor < value
 
+    def test_stops_at_the_least_divisor(self):
+        # Listing the divisors of 2**100 means trial division to its square
+        # root 2**50; the witness needs only the first divisor past 1.
+        assert first_proposition_witness(2**100) == (2, 3)
+
+    def test_large_least_divisor(self):
+        assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
+
     def test_prime_and_small_rejected(self):
         with pytest.raises(ValueError):
             first_proposition_witness(7)

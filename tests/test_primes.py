@@ -16,13 +16,17 @@ from fermatkit.forms import CandidateClass, euler_refined_class, generalized_cla
 from fermatkit.kernel import isqrt
 from fermatkit.mersenne import is_mersenne_prime, mersenne, order
 from fermatkit.primes import (
-    class_primes,
     class_segments,
     is_prime,
     prime_factors,
     primes_in_classes,
     primes_up_to,
 )
+
+
+def flatten_segments(classes, limit=None):
+    """The primes of class_segments one at a time, ascending."""
+    return itertools.chain.from_iterable(class_segments(classes, limit))
 
 
 def brute_is_prime(n):
@@ -348,15 +352,15 @@ class TestPrimesInClasses:
 class TestClassPrimes:
     def test_unbounded_walk_continues_the_bounded_one(self):
         cls = euler_refined_class(31)
-        walk = class_primes(cls)
+        walk = flatten_segments(cls)
         bounded = primes_in_classes(46339, cls)
         assert [next(walk) for _ in bounded] == bounded
         assert next(walk) > 46339
 
     def test_bound_is_inclusive(self):
         cls = generalized_class(11)
-        assert list(class_primes(cls, 23)) == [23]
-        assert list(class_primes(cls, 22)) == []
+        assert primes_in_classes(23, cls) == [23]
+        assert primes_in_classes(22, cls) == []
 
     def test_unbounded_sieve_matches_walk(self, class_walk):
         # 3,000 primes cross several segment boundaries for every q.
@@ -365,7 +369,7 @@ class TestClassPrimes:
             if q % 2 == 1 and is_prime(q):
                 classes.append(euler_refined_class(q))
             for cls in classes:
-                sieved = list(itertools.islice(class_primes(cls), 3000))
+                sieved = list(itertools.islice(flatten_segments(cls), 3000))
                 assert sieved == list(itertools.islice(class_walk(cls), 3000)), cls
 
     def test_every_small_bound_matches_walk(self, class_walk):
@@ -392,7 +396,7 @@ class TestClassPrimes:
             residues = frozenset()
 
         with pytest.raises(ValueError):
-            next(class_primes(Empty()))
+            next(flatten_segments(Empty()))
 
 
 class TestClassSegments:
@@ -419,10 +423,10 @@ class TestClassSegments:
         with pytest.raises(ValueError):
             next(class_segments(Empty()))
 
-    def test_sparse_mask_stays_bounded(self, class_walk):
-        # b = gcd(m, r - r0) = 2 gives a mask of period 10**6 holding two
-        # members; as one progression each segment would span 10**6 t per
-        # k, so the class is sieved one residue at a time.
+    def test_wide_modulus_stays_bounded(self, class_walk):
+        # Residues 1 and -1 mod 2*10**6: each segment sieves only their
+        # members, two per k, not the 10**6 odd numbers per k that one
+        # progression through both would cover.
         cls = CandidateClass(2 * 10**6, frozenset({1, 2 * 10**6 - 1}), 2)
         start = time.perf_counter()
         found = primes_in_classes(10**9, cls)
@@ -437,17 +441,17 @@ class TestClassSegments:
         assert peak < 4 * 2**20
 
     def test_first_members_past_a_sieving_square(self, class_walk):
-        # The class starts at 5 > 2*2, so the first member >= 2*2 would be
-        # t = -1, before the first segment: 2's offset must start at t = 0.
+        # Every member is past 2*2, and residue 10 past 3*3: their first
+        # strike is at k = 0, in the first segment, never before it; 3's
+        # first strike on residues 5, 6 and 8 is at k = 1.
         cls = CandidateClass(13, frozenset({5, 6, 8, 10}), 2)
-        sieved = list(itertools.islice(class_primes(cls), 3000))
+        sieved = list(itertools.islice(flatten_segments(cls), 3000))
         assert sieved == list(itertools.islice(class_walk(cls), 3000))
 
     def test_stride_one_offsets_carry_across_segments(self, class_walk):
-        # Sparse, one progression per residue: 2 and 5 divide the step
-        # 100 and the starts 2 and 5, so each strikes every member of its
-        # progression past itself, a stride-1 entry carried from segment
-        # to segment.
+        # 2 and 5 divide the modulus 100 and the residues 2 and 5, so each
+        # strikes every member of its residue past itself, a stride-1 entry
+        # carried from segment to segment.
         cls = CandidateClass(100, frozenset({2, 3, 5}), 2)
         segments, flat, read = class_segments(cls), [], 0
         while len(flat) < 1500:
@@ -456,6 +460,20 @@ class TestClassSegments:
         assert read >= 4  # k past 4,672: three segment boundaries crossed
         assert flat[:3] == [2, 3, 5]
         assert flat == list(itertools.islice(class_walk(cls), len(flat)))
+
+    def test_many_residues_cross_every_segment_size(self, oracle_primes):
+        # The 48 units mod 210 and 7, which shares 7 with the modulus and
+        # so takes stride-1 entries: to 10**6, k reaches 4,761, past the
+        # segments of 64, 512 and 4,096 k values into the fourth.
+        units = {r for r in range(210) if math.gcd(r, 210) == 1}
+        cls = CandidateClass(210, frozenset(units | {7}), 2)
+        segments = list(class_segments(cls, 10**6))
+        assert len(segments) == 4
+        assert all(segment == sorted(segment) for segment in segments)
+        expected = [p for p in oracle_primes(20)
+                    if p <= 10**6 and p % 210 in cls.residues]
+        assert expected[:2] == [7, 11]
+        assert list(itertools.chain.from_iterable(segments)) == expected
 
     @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
                              ids=["refined-61", "generalized-116"])
@@ -471,9 +489,9 @@ class TestClassSegments:
             assert primes_in_classes(limit, cls) == expected, limit
 
 
-def test_sparse_mask_inverts_the_step_once_per_prime(monkeypatch):
-    # Both residues of the sparse class share each sieving prime's inverse
-    # of the step 2*10**6; 2 and 5 divide it and need none.
+def test_inverts_the_modulus_once_per_prime(monkeypatch):
+    # Both residues share each sieving prime's inverse of the modulus
+    # 2*10**6; 2 and 5 divide it and need none.
     calls = []
 
     def counting_pow(*args):
