@@ -6,8 +6,8 @@ remaining cofactor is divided only by the primes of its admissible
 residue class, in increasing order, so no composite candidate is ever
 tried. The scan takes them a segment at a time from the class sieve
 ``primes.class_segments``, which it tells where it stops, and finds each
-segment's first divisor in one pass; a cofactor with no divisor up to
-its square root is prime. ``factor_nat`` is the independent oracle.
+segment's first divisor in one pass; a cofactor with no divisor up to its
+square root is prime. ``factor_nat`` wraps ``primes.prime_factors``.
 
 The trace keeps every candidate tried, but not one step per candidate:
 each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)

@@ -11,7 +11,7 @@ order comes from p - 1 (ROADMAP item 5 is the check that can fail).
 from collections import namedtuple
 
 from .kernel import Record, gcd
-from .primes import PSI13, is_prime, prime_factors
+from .primes import PSI13, is_prime, least_cached_factor, prime_factors
 
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
@@ -31,7 +31,8 @@ def is_mersenne_prime(p):
     """Whether 2**p - 1 is prime, by the Lucas-Lehmer test.
 
     For an odd prime p, M_p is prime iff s_(p-2) == 0 mod M_p, where
-    s_0 = 4 and s_(i+1) = s_i**2 - 2. M_2 = 3 is prime; a composite p
+    s_0 = 4 and s_(i+1) = s_i**2 - 2, reduced by shift and add (Crandall
+    and Pomerance, Prime Numbers). M_2 = 3 is prime; a composite p
     gives a composite M_p (first proposition), and p < 2 gives no prime.
     """
     if p == 2:
@@ -41,8 +42,15 @@ def is_mersenne_prime(p):
     m = mersenne(p)
     s = 4
     for _ in range(p - 2):
-        s = (s * s - 2) % m
+        s = _square_less_two(s, p, m)
     return s == 0
+
+
+def _square_less_two(s, p, m):
+    """s*s - 2 mod m = 2**p - 1, for 0 <= s < m, by shift and add."""
+    x = s * s - 2
+    x = (x & m) + (x >> p)  # 2**p = 1 mod m; x >> p = -1 at s = 0 or 1
+    return x - m if x >= m else x
 
 
 def order(base, modulus):
@@ -136,10 +144,12 @@ def second_proposition_check(p):
 def first_proposition_witness(n):
     """(d, M_d) witnessing that a composite exponent gives a composite value.
 
-    d is the smallest prime divisor of n, the first of 2, 3, ... to divide
-    it; 2**d - 1 is then a proper divisor of 2**n - 1.
+    d is n's least prime divisor, from the cached primes, else the first of
+    2, 3, ... to divide it; 2**d - 1 then properly divides 2**n - 1.
     """
-    if n < 4 or is_prime(n):
-        raise ValueError(f"requires a composite n >= 4, got {n}")
-    d = next(d for d in range(2, n) if n % d == 0)
+    d = least_cached_factor(n) if n >= 4 else None
+    if d is None:
+        if n < 4 or is_prime(n):
+            raise ValueError(f"requires a composite n >= 4, got {n}")
+        d = next(d for d in range(2, n) if n % d == 0)
     return d, mersenne(d)

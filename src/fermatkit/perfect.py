@@ -9,10 +9,10 @@ Factoring is used only to find a witness for a composite 2**p - 1.
 
 from collections import namedtuple
 
-from .factoring import factor_mersenne, factor_nat
+from .factoring import factor_mersenne
 from .kernel import Record, digit_count
 from .mersenne import is_mersenne_prime, mersenne
-from .primes import primes_up_to
+from .primes import prime_factors, primes_up_to
 
 MERSENNE_PRIME = "mersenne-prime"
 IMPOSTER = "imposter"
@@ -46,7 +46,7 @@ def aliquot_sum(n):
     if n == 1:
         return 0
     sigma = 1
-    for p, e in factor_nat(n).factors:
+    for p, e in prime_factors(n):
         sigma *= (p ** (e + 1) - 1) // (p - 1)
     return sigma - n
 

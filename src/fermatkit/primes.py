@@ -9,9 +9,9 @@ n is in range, and otherwise runs strong probable-prime tests to the
 first 13 prime bases, which decide primality exactly below PSI13
 (Sorenson and Webster, Math. Comp. 86, 2017).
 
-``prime_factors`` tries the cached primes in blocks of 32, one gcd
-against each block's product. Only it builds the products, for the
-blocks it reaches; like the primes, they are replaced under the lock.
+``prime_factors`` tries the cached primes in blocks of 32 by gcds down a
+product tree of the blocks (Bernstein, 2004), which only trial division
+builds, as far as it reaches, and replaces under the lock.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 sieves each residue's progression a segment at a time and merges them,
@@ -115,45 +115,69 @@ def is_prime(n):
 # Primes per trial-division block: on n < 10**9, 32 was as fast as 64 and
 # faster than 16, 128 or 256.
 _BLOCK = 32
-_block_products = []
+# _block_tree[L][j] is the product of blocks j*2**L .. (j + 1)*2**L - 1.
+_block_tree = [[]]
 
 
-def _products(primes, blocks):
-    """Products of the first ``blocks`` full blocks of primes, or more.
-
-    The list is shared and replaced, never mutated, when it grows: the
-    prime list's prefix never changes, so a product stays valid for good.
-    """
-    global _block_products
-    products = _block_products
-    if len(products) < blocks:
+def _tree(primes, blocks):
+    """The tree over the first ``blocks`` full blocks of primes, or more.
+    Growth replaces it, never mutating a level, and a node stays valid for
+    good, since the prime list's prefix never changes."""
+    global _block_tree
+    tree = _block_tree
+    if len(tree[0]) < blocks:
         with _lock:
-            products = _block_products
-            if len(products) < blocks:
-                products = products + [
-                    math.prod(primes[k * _BLOCK : (k + 1) * _BLOCK])
-                    for k in range(len(products), blocks)
-                ]
-                _block_products = products
-    return products
+            old = tree = _block_tree
+            if len(tree[0]) < blocks:
+                tree = [old[0] + [math.prod(primes[k * _BLOCK : (k + 1) * _BLOCK])
+                                  for k in range(len(old[0]), blocks)]]
+                while len(tree[-1]) > 1:
+                    low, kept = tree[-1], (old[len(tree):] or [[]])[0]
+                    tree.append(kept + [low[2 * j] * low[2 * j + 1]
+                                        for j in range(len(kept), len(low) // 2)])
+                _block_tree = tree
+    return tree
+
+
+def _first_sharing(n, tree, b, stop):
+    """(j, g): the first block j in [b, stop), b >= 1, whose gcd g with n is
+    not 1, else (stop, 1). Each gcd tries the largest node that starts at b
+    and ends by stop. One that shares a factor is descended: each left
+    child is tried against g, and the right is taken, with the same g, when
+    the left shares none."""
+    while b < stop:
+        level = min((b & -b).bit_length(), (stop - b).bit_length()) - 1
+        g = math.gcd(n, tree[level][b >> level])
+        if g > 1:
+            j = b >> level
+            for level in range(level - 1, -1, -1):
+                h = math.gcd(g, tree[level][2 * j])
+                j, g = (2 * j, h) if h > 1 else (2 * j + 1, g)
+            return j, g
+        b += 1 << level
+    return stop, 1
 
 
 def _divide_out(n, primes, i, count, factors):
     """The cofactor of n once primes[i:count] up to its square root are out.
 
-    Appends (p, e) to factors for each p that divides n. Each block, or
-    its slice where i or count cuts it, whose first prime is at most the
-    square root of n is tried by one gcd g with its product. A g that the
-    flags call prime is divided out at once; another g > 1 is used up by a
-    walk over the block. A run of whole blocks below the stop is tried by
-    one gcd each, up to the first that shares a factor with n. The flags,
-    read after primes, cover each prime g; newer ones are exact too.
+    Appends (p, e) to factors for each p that divides n. The block of
+    primes[i], or its slice that i or count cuts, is tried by one gcd g.
+    If g is 1, the tree search finds the first later whole block whose
+    first prime is at most the square root and whose g is not 1. A g that
+    the flags, read after primes, call prime is divided out at once;
+    another is used up by a walk over the block.
     """
     flags = _cached_flags
     while i < count and primes[i] ** 2 <= n:
         end = min(i - i % _BLOCK + _BLOCK, count)
         g = math.gcd(n, math.prod(primes[i:end]) if end - i < _BLOCK
-                     else _products(primes, end // _BLOCK)[i // _BLOCK])
+                     else _tree(primes, end // _BLOCK)[0][i // _BLOCK])
+        if g == 1 and end + _BLOCK <= count and primes[end] ** 2 <= n:
+            root = bisect.bisect_right(primes, isqrt(n), end, count)
+            stop = min(count // _BLOCK, -(-root // _BLOCK))
+            j, g = _first_sharing(n, _tree(primes, stop), end // _BLOCK, stop)
+            i, end = j * _BLOCK, (j + (g > 1)) * _BLOCK
         if g > 1:
             for p in (g,) if g < len(flags) and flags[g] else primes[i:end]:
                 if g % p == 0:
@@ -163,12 +187,6 @@ def _divide_out(n, primes, i, count, factors):
                     factors.append((p, e))
                     if g == 1:
                         break
-        elif end + _BLOCK <= count and primes[end + _BLOCK - 1] ** 2 <= n:
-            stop = bisect.bisect_right(primes, isqrt(n), end, count) // _BLOCK
-            blocks = itertools.islice(_products(primes, stop), end // _BLOCK, stop)
-            shares = map((1).__lt__, map(math.gcd, itertools.repeat(n), blocks))
-            end = next(itertools.compress(itertools.count(end, _BLOCK), shares),
-                       stop * _BLOCK)
         i = end
     return n
 
@@ -176,17 +194,19 @@ def _divide_out(n, primes, i, count, factors):
 def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2, by trial division.
 
-    Tries the cached primes first; grows the sieve only while p*p <= the
-    cofactor. Each block of 32 primes below the cofactor's square root is
-    tried by one gcd against the product of its primes, and is walked
-    only if that gcd is composite. The cofactor left when no prime up to
-    its square root divides it is prime.
+    If the cached limit covers isqrt(n), the cached list is read once,
+    with no lock: growth publishes the flags, then the primes, then the
+    limit, so a limit read first is covered by the list read after it.
+    Else the sieve doubles while p*p <= the cofactor, which is then prime.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
     factors = []
     tried = bound = 0
     root = isqrt(n)
+    if root <= _cached_limit:
+        primes = _cached_primes
+        n, root = _divide_out(n, primes, 0, len(primes), factors), 0
     while bound < root:
         bound = max(2 * bound, _cached_limit, 1 << 10)
         primes, count = shared_primes(min(bound, root))
@@ -197,6 +217,15 @@ def prime_factors(n):
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
+
+
+def least_cached_factor(n):
+    """n's least prime factor if a cached prime <= isqrt(n) divides n >= 2,
+    else None; it grows the sieve no further than its first 1024."""
+    primes, count = shared_primes(min(isqrt(n), max(_cached_limit, 1 << 10)))
+    factors = []
+    _divide_out(n, primes, 0, count, factors)
+    return factors[0][0] if factors else None
 
 
 # k values per class-sieve segment: a small first one keeps an early stop

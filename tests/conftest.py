@@ -50,13 +50,13 @@ def trial_division_is_prime(n):
 @pytest.fixture
 def cold_sieve(monkeypatch):
     """An empty sieve cache: no limit, primes or flags, so is_prime takes
-    its strong-test path, and no trial-division block products."""
+    its strong-test path, and an empty trial-division product tree."""
     from fermatkit import primes
 
     monkeypatch.setattr(primes, "_cached_limit", 0)
     monkeypatch.setattr(primes, "_cached_primes", [])
     monkeypatch.setattr(primes, "_cached_flags", b"")
-    monkeypatch.setattr(primes, "_block_products", [])
+    monkeypatch.setattr(primes, "_block_tree", [[]])
 
 
 @pytest.fixture
@@ -123,6 +123,26 @@ def walk_class(classes, limit=None):
 @pytest.fixture
 def class_walk():
     return walk_class
+
+
+def lucas_lehmer_mod(p):
+    """The Lucas-Lehmer loop that reduced by %, kept as the oracle of the
+    shift-add reduction: whether 2**p - 1 is prime, primality of p by this
+    file's trial division."""
+    if p == 2:
+        return True
+    if not trial_division_is_prime(p):
+        return False
+    m = (1 << p) - 1
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+@pytest.fixture
+def lucas_lehmer_loop():
+    return lucas_lehmer_mod
 
 
 def naive_order(base, m):

@@ -16,6 +16,7 @@ from fermatkit.mersenne import (
     order,
     second_proposition_check,
 )
+from fermatkit.primes import PSI13
 
 
 class TestMersenne:
@@ -50,6 +51,29 @@ class TestIsMersennePrime:
     def test_non_prime_exponents(self):
         for p in (-3, 0, 1, 4, 9, 11 * 11):
             assert not is_mersenne_prime(p)
+
+    def test_matches_the_division_loop(self, lucas_lehmer_loop):
+        for p in range(1280):
+            assert is_mersenne_prime(p) == lucas_lehmer_loop(p), p
+
+    @pytest.mark.parametrize("p", [521, 523, 607])
+    def test_named_exponents_match_the_division_loop(self, lucas_lehmer_loop, p):
+        assert is_mersenne_prime(p) == lucas_lehmer_loop(p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 89, 127])
+    def test_reduction_edges(self, p):
+        # s = 0 or 1 makes s*s - 2 negative, so x >> p is -1.
+        m = mersenne(p)
+        rng = random.Random(p)
+        for s in (0, 1, 2, 3, m - 2, m - 1, *(rng.randrange(m) for _ in range(50))):
+            assert mersenne_module._square_less_two(s, p, m) == (s * s - 2) % m, s
+
+    def test_a_residue_of_m_reads_as_0(self):
+        # Mod M_3 = 7, 3*3 - 2 = 7 and Lucas-Lehmer's 4*4 - 2 = 14 each sum
+        # to (x & 7) + (x >> 3) = 7 = m, which must read as 0.
+        assert mersenne_module._square_less_two(3, 3, 7) == 0
+        assert mersenne_module._square_less_two(4, 3, 7) == 0
+        assert is_mersenne_prime(3)
 
 
 class TestOrder:
@@ -267,6 +291,12 @@ class TestFirstProposition:
 
     def test_large_least_divisor(self):
         assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
+
+    def test_least_divisor_past_the_strong_test_bases(self, cold_sieve):
+        # 43**16 is past psi_13 with no factor up to 41, where is_prime
+        # raises; 43 is found among the first sieve's primes first.
+        assert 43**16 > PSI13
+        assert first_proposition_witness(43**16) == (43, mersenne(43))
 
     def test_prime_and_small_rejected(self):
         with pytest.raises(ValueError):

@@ -195,6 +195,25 @@ COMPOSITE_GCDS = (2 * 3 * 5 * 7 * 131**2, 3 * 5 * 7 * 11, 3 * 5 * 7 * 127,
 PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
 
 
+def assert_tree_is_block_products():
+    """Each node of the product tree is the product of its 2**L blocks of 32
+    cached primes, and each level holds every node its blocks fill.
+
+    A level-0 node is checked against its block's primes and a higher one
+    against its two children, which by induction is the same check at a
+    cost linear in the tree.
+    """
+    tree, cached = primes._block_tree, primes._cached_primes
+    for j, node in enumerate(tree[0]):
+        assert node == math.prod(cached[32 * j : 32 * (j + 1)]), j
+    for level, nodes in enumerate(tree[1:], 1):
+        assert len(nodes) == len(tree[0]) >> level, level
+        below = tree[level - 1]
+        for j, node in enumerate(nodes):
+            assert node == below[2 * j] * below[2 * j + 1], (level, j)
+    assert len(tree[-1]) <= 1
+
+
 @pytest.fixture(params=["cold", "warm"])
 def sieve_state(request):
     """A cold sieve, or one already grown to 10**5."""
@@ -272,9 +291,11 @@ class TestPrimeFactors:
         primes_in_classes(10**7, euler_refined_class(31))
         next(class_segments(generalized_class(61)))
         assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
-        assert primes._block_products == []
+        assert primes._block_tree == [[]]
         prime_factors(LARGE_PRIME)
-        assert len(primes._block_products) == len(primes_up_to(31622)) // 32
+        # Every block whose first prime is at most isqrt(LARGE_PRIME) = 31,622.
+        assert len(primes._block_tree[0]) == -(-len(primes_up_to(31622)) // 32)
+        assert_tree_is_block_products()
 
     def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop):
         rng = random.Random(4)
@@ -297,10 +318,61 @@ class TestPrimeFactors:
         assert not any(t.is_alive() for t in threads)
         for batch, result in zip(batches, results):
             assert result == [factor_loop(n) for n in batch]
-        products, cached = primes._block_products, primes._cached_primes
-        assert products
-        for k, product in enumerate(products):
-            assert product == math.prod(cached[32 * k : 32 * (k + 1)]), k
+        assert len(primes._block_tree) > 1
+        assert_tree_is_block_products()
+
+
+# (level, node, end): the first (0) or last (1) prime of node j at level L
+# of the product tree, which spans blocks j*2**L .. (j + 1)*2**L - 1.
+TREE_EDGES = [(level, j, end) for level in range(5) for j in (1, 2, 3) for end in (0, 1)]
+
+
+def tree_edge_prime(oracle_primes, level, j, end):
+    width = 32 << level
+    return oracle_primes(16)[(j + end) * width - end]
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("level,j,end", TREE_EDGES)
+    def test_node_edge_products(self, sieve_state, oracle_primes, factor_loop,
+                                level, j, end):
+        # p*q with p and q each the first or last prime of a node at levels
+        # 0..4; times LARGE_PRIME the stop lies past both nodes.
+        p = tree_edge_prime(oracle_primes, level, j, end)
+        for q in (tree_edge_prime(oracle_primes, *edge) for edge in TREE_EDGES):
+            for n in (p * q, p * q * LARGE_PRIME):
+                assert prime_factors(n) == factor_loop(n), (p, q)
+
+    # Runs of 2**k blocks end where a node ends; the others need several.
+    @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 7, 8, 11, 13, 16, 24, 32,
+                                      48, 64, 96, 106, 107])
+    def test_stops_at_a_block_end(self, sieve_state, oracle_primes, trial_division,
+                                  factor_loop, stop):
+        # q is the last prime of block stop - 1 and r the next: isqrt(n) of
+        # q*r, q*q and the least prime past q*q lies in that block, so the
+        # search stops right at its end, with a hit at q or with none.
+        q, r = oracle_primes(16)[32 * stop - 1 : 32 * stop + 1]
+        past = next(n for n in itertools.count(q * q + 1) if trial_division(n))
+        for n in (q * r, q * q, past, 2 * past, q * past):
+            assert prime_factors(n) == factor_loop(n), n
+
+    def test_the_last_cached_prime(self, cold_sieve, factor_loop):
+        # After the first sieve (1024), the next three take the no-growth
+        # path, whose stop is its last prime, 1021; 1021 * 1031 finds 1021
+        # in the cache, which drops its stop below the cached limit.
+        for n in (4, 1021**2, 1019 * 1021, 2 * 1021**2, 1021 * 1031):
+            assert prime_factors(n) == factor_loop(n), n
+            assert primes._cached_limit == 1024, n
+
+    def test_a_prime_near_10_to_9_takes_at_most_12_gcds(self, monkeypatch):
+        # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd per node
+        # of 1, 1, 2, 4, ..., 32, 32, 8, 2 and 1 blocks. The flat run took 107.
+        primes_up_to(10**5)
+        calls = []
+        gcd = math.gcd
+        monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+        assert prime_factors(LARGE_PRIME) == ((LARGE_PRIME, 1),)
+        assert len(calls) <= 12
 
 
 class TestPrimesInClasses:
