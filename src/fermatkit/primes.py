@@ -9,9 +9,10 @@ n is in range, and otherwise runs strong probable-prime tests to the
 first 13 prime bases, which decide primality exactly below PSI13
 (Sorenson and Webster, Math. Comp. 86, 2017).
 
-``prime_factors`` tries the cached primes in blocks of 32 by gcds down a
-product tree of the blocks (Bernstein, 2004), which only trial division
-builds, as far as it reaches, and replaces under the lock.
+``prime_factors`` tries the cached primes in blocks of 32 by gcds: block 0,
+2..131, against a constant, and the blocks from 1 on down a product tree
+(Bernstein, 2004), which only trial division builds, as far as it
+reaches, and replaces under the lock.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 sieves each residue's progression a segment at a time and merges them,
@@ -27,14 +28,12 @@ import bisect
 import itertools
 import math
 
-from .kernel import isqrt
-
 
 def _sieve(limit):
     """Sieve of Eratosthenes: (flags, primes), flags[n] = 1 iff n is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return flags, list(itertools.compress(range(limit + 1), flags))
@@ -113,71 +112,75 @@ def is_prime(n):
 
 
 # Primes per trial-division block: on n < 10**9, 32 was as fast as 64 and
-# faster than 16, 128 or 256.
+# faster than 16, 128 or 256. Block 0, 2..131, is one constant.
 _BLOCK = 32
-# _block_tree[L][j] is the product of blocks j*2**L .. (j + 1)*2**L - 1.
+_FIRST_BLOCK = math.prod(_sieve(131)[1])
+# _block_tree[L][j] is the product of blocks 1 + j*2**L .. (j + 1)*2**L.
 _block_tree = [[]]
 
 
 def _tree(primes, blocks):
-    """The tree over the first ``blocks`` full blocks of primes, or more.
-    Growth replaces it, never mutating a level, and a node stays valid for
-    good, since the prime list's prefix never changes."""
+    """The tree over blocks 1 .. ``blocks`` of primes, or more. Growth
+    replaces it, never mutating a level, and a node stays valid for good,
+    since the prime list's prefix never changes."""
     global _block_tree
-    tree = _block_tree
-    if len(tree[0]) < blocks:
-        with _lock:
-            old = tree = _block_tree
-            if len(tree[0]) < blocks:
-                tree = [old[0] + [math.prod(primes[k * _BLOCK : (k + 1) * _BLOCK])
-                                  for k in range(len(old[0]), blocks)]]
-                while len(tree[-1]) > 1:
-                    low, kept = tree[-1], (old[len(tree):] or [[]])[0]
-                    tree.append(kept + [low[2 * j] * low[2 * j + 1]
-                                        for j in range(len(kept), len(low) // 2)])
-                _block_tree = tree
+    with _lock:
+        old = tree = _block_tree
+        if len(tree[0]) < blocks:
+            tree = [old[0] + [math.prod(primes[k * _BLOCK : (k + 1) * _BLOCK])
+                              for k in range(len(old[0]) + 1, blocks + 1)]]
+            while len(tree[-1]) > 1:
+                low, kept = tree[-1], (old[len(tree):] or [[]])[0]
+                tree.append(kept + [low[2 * j] * low[2 * j + 1]
+                                    for j in range(len(kept), len(low) // 2)])
+            _block_tree = tree
     return tree
-
-
-def _first_sharing(n, tree, b, stop):
-    """(j, g): the first block j in [b, stop), b >= 1, whose gcd g with n is
-    not 1, else (stop, 1). Each gcd tries the largest node that starts at b
-    and ends by stop. One that shares a factor is descended: each left
-    child is tried against g, and the right is taken, with the same g, when
-    the left shares none."""
-    while b < stop:
-        level = min((b & -b).bit_length(), (stop - b).bit_length()) - 1
-        g = math.gcd(n, tree[level][b >> level])
-        if g > 1:
-            j = b >> level
-            for level in range(level - 1, -1, -1):
-                h = math.gcd(g, tree[level][2 * j])
-                j, g = (2 * j, h) if h > 1 else (2 * j + 1, g)
-            return j, g
-        b += 1 << level
-    return stop, 1
 
 
 def _divide_out(n, primes, i, count, factors):
     """The cofactor of n once primes[i:count] up to its square root are out.
 
-    Appends (p, e) to factors for each p that divides n. The block of
-    primes[i], or its slice that i or count cuts, is tried by one gcd g.
-    If g is 1, the tree search finds the first later whole block whose
-    first prime is at most the square root and whose g is not 1. A g that
-    the flags, read after primes, call prime is divided out at once;
-    another is used up by a walk over the block.
+    Appends (p, e) to factors for each p that divides n. Block 0, or a
+    block that i or count cuts, is tried by one gcd g. From a whole block,
+    each gcd tries the largest tree node that starts there and ends by the
+    block holding the square root, or by the last whole block; a node with
+    g = 1 is passed, and one that shares a factor is descended, each left
+    child tried against g and the right taken when it shares none. The
+    tree is read once, and grown at most once, per call. A g that the
+    flags, read after primes, call prime is divided out at once; another
+    is used up by a walk over its block.
     """
-    flags = _cached_flags
-    while i < count and primes[i] ** 2 <= n:
-        end = min(i - i % _BLOCK + _BLOCK, count)
-        g = math.gcd(n, math.prod(primes[i:end]) if end - i < _BLOCK
-                     else _tree(primes, end // _BLOCK)[0][i // _BLOCK])
-        if g == 1 and end + _BLOCK <= count and primes[end] ** 2 <= n:
-            root = bisect.bisect_right(primes, isqrt(n), end, count)
-            stop = min(count // _BLOCK, -(-root // _BLOCK))
-            j, g = _first_sharing(n, _tree(primes, stop), end // _BLOCK, stop)
-            i, end = j * _BLOCK, (j + (g > 1)) * _BLOCK
+    flags, tree = _cached_flags, _block_tree
+    while i < count and primes[i] * primes[i] <= n:
+        end = i - i % _BLOCK + _BLOCK
+        if i % _BLOCK or end > count:
+            if end > count:
+                end = count
+            g = math.gcd(n, math.prod(primes[i:end]))
+        elif not i:
+            g = math.gcd(n, _FIRST_BLOCK)
+        else:  # tree positions x .. stop - 1 hold blocks x + 1 .. stop
+            root = bisect.bisect_right(primes, math.isqrt(n), i, count - count % _BLOCK)
+            x, stop = i // _BLOCK - 1, (root - 1) // _BLOCK
+            if len(tree[0]) < stop:
+                tree = _tree(primes, stop)
+            while x < stop:
+                span, fit = x & -x, 1 << (stop - x).bit_length() - 1
+                if not span or span > fit:
+                    span = fit
+                g = math.gcd(n, tree[span.bit_length() - 1][x // span])
+                if g > 1:
+                    while span > 1:
+                        span >>= 1
+                        h = math.gcd(g, tree[span.bit_length() - 1][x // span])
+                        if h > 1:
+                            g = h
+                        else:
+                            x += span
+                    break
+                x += span
+            i = (x + 1) * _BLOCK
+            end = i + _BLOCK if g > 1 else i
         if g > 1:
             for p in (g,) if g < len(flags) and flags[g] else primes[i:end]:
                 if g % p == 0:
@@ -194,6 +197,8 @@ def _divide_out(n, primes, i, count, factors):
 def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2, by trial division.
 
+    The primes up to isqrt(n) go by gcds: block 0 by one with its constant,
+    so n < 137**2 builds no tree, and later blocks by the tree search.
     If the cached limit covers isqrt(n), the cached list is read once,
     with no lock: growth publishes the flags, then the primes, then the
     limit, so a limit read first is covered by the list read after it.
@@ -203,7 +208,7 @@ def prime_factors(n):
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
     factors = []
     tried = bound = 0
-    root = isqrt(n)
+    root = math.isqrt(n)
     if root <= _cached_limit:
         primes = _cached_primes
         n, root = _divide_out(n, primes, 0, len(primes), factors), 0
@@ -213,7 +218,7 @@ def prime_factors(n):
         n = _divide_out(n, primes, tried, count, factors)
         tried = count
         if bound < root:  # else the new stop is below bound too
-            root = isqrt(n)
+            root = math.isqrt(n)
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
@@ -222,7 +227,7 @@ def prime_factors(n):
 def least_cached_factor(n):
     """n's least prime factor if a cached prime <= isqrt(n) divides n >= 2,
     else None; it grows the sieve no further than its first 1024."""
-    primes, count = shared_primes(min(isqrt(n), max(_cached_limit, 1 << 10)))
+    primes, count = shared_primes(min(math.isqrt(n), max(_cached_limit, 1 << 10)))
     factors = []
     _divide_out(n, primes, 0, count, factors)
     return factors[0][0] if factors else None
@@ -271,7 +276,7 @@ def class_segments(classes, limit=None):
             size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
         if limit is not None:
             n = min(n, (limit - residues[0]) // m + 1 - k0)
-        primes, count = shared_primes(isqrt((k0 + n - 1) * m + residues[-1]))
+        primes, count = shared_primes(math.isqrt((k0 + n - 1) * m + residues[-1]))
         for p in itertools.islice(primes, planned, count):
             inverse = pow(m, -1, p) if m % p else 0  # one per prime
             for r, plan in zip(residues, plans):

@@ -187,8 +187,8 @@ class TestStrongTest:
 BLOCK_EDGES = ((131, 137), (311, 313), (503, 509))
 LARGE_PRIME = 999999937
 # n whose gcd with a block's product is composite, so the block is walked:
-# in the first block (2..131), and in the second (137..311), which the gcd
-# run over whole blocks reaches.
+# in the first block (2..131), and in the second (137..311), which the tree
+# search over whole blocks reaches.
 COMPOSITE_GCDS = (2 * 3 * 5 * 7 * 131**2, 3 * 5 * 7 * 11, 3 * 5 * 7 * 127,
                   3 * 5 * 7 * 131, 137 * 139 * 149, 137**2 * 311 * 1000003)
 # n whose gcd with a block's product is one prime of multiplicity above 1.
@@ -196,16 +196,18 @@ PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
 
 
 def assert_tree_is_block_products():
-    """Each node of the product tree is the product of its 2**L blocks of 32
-    cached primes, and each level holds every node its blocks fill.
+    """Block 0 is the constant product of the first 32 primes, and each node
+    of the product tree, which starts at block 1, is the product of its 2**L
+    blocks of 32 cached primes; each level holds every node its blocks fill.
 
-    A level-0 node is checked against its block's primes and a higher one
-    against its two children, which by induction is the same check at a
-    cost linear in the tree.
+    A level-0 node j is checked against the primes of block j + 1 and a
+    higher one against its two children, which by induction is the same
+    check at a cost linear in the tree.
     """
     tree, cached = primes._block_tree, primes._cached_primes
+    assert primes._FIRST_BLOCK == math.prod(cached[:32])
     for j, node in enumerate(tree[0]):
-        assert node == math.prod(cached[32 * j : 32 * (j + 1)]), j
+        assert node == math.prod(cached[32 * (j + 1) : 32 * (j + 2)]), j
     for level, nodes in enumerate(tree[1:], 1):
         assert len(nodes) == len(tree[0]) >> level, level
         below = tree[level - 1]
@@ -293,8 +295,9 @@ class TestPrimeFactors:
         assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
         assert primes._block_tree == [[]]
         prime_factors(LARGE_PRIME)
-        # Every block whose first prime is at most isqrt(LARGE_PRIME) = 31,622.
-        assert len(primes._block_tree[0]) == -(-len(primes_up_to(31622)) // 32)
+        # Every block but block 0 whose first prime is at most
+        # isqrt(LARGE_PRIME) = 31,622: blocks 1..106.
+        assert len(primes._block_tree[0]) == -(-len(primes_up_to(31622)) // 32) - 1 == 106
         assert_tree_is_block_products()
 
     def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop):
@@ -323,13 +326,21 @@ class TestPrimeFactors:
 
 
 # (level, node, end): the first (0) or last (1) prime of node j at level L
-# of the product tree, which spans blocks j*2**L .. (j + 1)*2**L - 1.
+# of the product tree, which spans blocks 1 + j*2**L .. (j + 1)*2**L.
 TREE_EDGES = [(level, j, end) for level in range(5) for j in (1, 2, 3) for end in (0, 1)]
 
 
 def tree_edge_prime(oracle_primes, level, j, end):
     width = 32 << level
-    return oracle_primes(16)[(j + end) * width - end]
+    return oracle_primes(16)[32 + (j + end) * width - end]
+
+
+def count_gcds(monkeypatch):
+    """The list of math.gcd calls made from here on."""
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+    return calls
 
 
 class TestProductTree:
@@ -343,9 +354,10 @@ class TestProductTree:
             for n in (p * q, p * q * LARGE_PRIME):
                 assert prime_factors(n) == factor_loop(n), (p, q)
 
-    # Runs of 2**k blocks end where a node ends; the others need several.
-    @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 7, 8, 11, 13, 16, 24, 32,
-                                      48, 64, 96, 106, 107])
+    # Runs of 2**k blocks from block 1 (stops 2, 3, 5, 9, 17, 33, 65) are
+    # one node; the others need several.
+    @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17,
+                                      24, 32, 33, 48, 64, 65, 96, 106, 107])
     def test_stops_at_a_block_end(self, sieve_state, oracle_primes, trial_division,
                                   factor_loop, stop):
         # q is the last prime of block stop - 1 and r the next: isqrt(n) of
@@ -364,15 +376,33 @@ class TestProductTree:
             assert prime_factors(n) == factor_loop(n), n
             assert primes._cached_limit == 1024, n
 
-    def test_a_prime_near_10_to_9_takes_at_most_12_gcds(self, monkeypatch):
-        # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd per node
-        # of 1, 1, 2, 4, ..., 32, 32, 8, 2 and 1 blocks. The flat run took 107.
+    def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
+        # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd for
+        # block 0, then one per node of 64, 32, 8 and 2 blocks from block 1.
+        # The flat run took 107 and the tree from block 0 took 11.
         primes_up_to(10**5)
-        calls = []
-        gcd = math.gcd
-        monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+        calls = count_gcds(monkeypatch)
         assert prime_factors(LARGE_PRIME) == ((LARGE_PRIME, 1),)
-        assert len(calls) <= 12
+        assert len(calls) <= 6
+
+    def test_a_prime_near_10_to_12_takes_at_most_8_gcds(self, cold_sieve,
+                                                        monkeypatch):
+        # 78,498 primes up to 10**6, all cached: block 0, then nodes of
+        # 2048, 256, 128, 16 and 4 blocks for blocks 1..2452, then the
+        # 2 primes of block 2453 that the count cuts. The tree from block 0
+        # took 18.
+        primes_up_to(10**6)
+        calls = count_gcds(monkeypatch)
+        assert prime_factors(10**12 - 11) == ((10**12 - 11, 1),)
+        assert len(calls) <= 8
+
+    def test_no_tree_below_the_square_of_137(self, cold_sieve):
+        # 137 is the first prime past block 0, so n < 137**2 is settled by
+        # the gcd with block 0's constant.
+        primes_up_to(10**5)
+        for n in range(2, 137**2):
+            prime_factors(n)
+        assert primes._block_tree == [[]]
 
 
 class TestPrimesInClasses:
