@@ -5,13 +5,13 @@
 operations recompute a claimed divisibility fact and report whether it
 holds, but ``divisibility_conjecture_check`` cannot report False: its
 order comes from p - 1 (ROADMAP item 5 is the check that can fail).
-``order`` finds a multiplicative order by φ reduction with an Euler check.
+``order`` reduces φ, from ``prime_factors`` alone, with an Euler check.
 """
 
 from collections import namedtuple
 
 from .kernel import Record, gcd
-from .primes import PSI13, is_prime, least_cached_factor, prime_factors
+from .primes import is_prime, least_cached_factor, prime_factors
 
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
@@ -58,9 +58,9 @@ def order(base, modulus):
 
     Requires base >= 2, modulus >= 3, gcd(base, modulus) == 1; without
     coprimality no power of the base is ever 1 mod the modulus. k starts at
-    φ(modulus), modulus - 1 for a prime below PSI13 and otherwise from its
-    factorization, checked to be a multiple of the order (Euler), and loses
-    each prime q of φ while base**(k/q) stays 1.
+    φ(modulus), from ``prime_factors(modulus)`` alone, is checked to be a
+    multiple of the order (Euler), and loses each prime q of φ while
+    base**(k/q) stays 1.
     """
     if base < 2:
         raise ValueError(f"order requires base >= 2, got {base}")
@@ -70,12 +70,9 @@ def order(base, modulus):
         raise ValueError(
             f"no exponent exists: gcd({base}, {modulus}) != 1"
         )
-    if modulus < PSI13 and is_prime(modulus):
-        k = modulus - 1
-    else:
-        k = 1
-        for p, e in prime_factors(modulus):
-            k *= p ** (e - 1) * (p - 1)
+    k = 1
+    for p, e in prime_factors(modulus):
+        k *= p ** (e - 1) * (p - 1)
     if pow(base, k, modulus) != 1:
         raise AssertionError(f"Euler check fails: {base}**{k} mod {modulus} != 1")
     for q, _ in prime_factors(k):

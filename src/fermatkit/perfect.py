@@ -4,15 +4,15 @@ Aliquot questions reduce to prime questions: the aliquot sum comes from
 the factorization via the multiplicative sigma formula, and even perfect
 numbers are enumerated through Euclid's pairing with Mersenne primes,
 each decided by the Lucas-Lehmer test (``mersenne.is_mersenne_prime``).
-Factoring is used only to find a witness for a composite 2**p - 1.
+A composite 2**p - 1 gets Fermat's witness: a prime q with 2**p = 1 mod q.
 """
 
 from collections import namedtuple
 
-from .factoring import factor_mersenne
+from .forms import euler_refined_class
 from .kernel import Record, digit_count
 from .mersenne import is_mersenne_prime, mersenne
-from .primes import prime_factors, primes_up_to
+from .primes import class_segments, prime_factors, primes_up_to
 
 MERSENNE_PRIME = "mersenne-prime"
 IMPOSTER = "imposter"
@@ -86,15 +86,17 @@ def frenicle_scan(min_digits, max_exponent, budget=None):
 
     Each prime p <= max_exponent is classified by the Lucas-Lehmer test
     as mersenne-prime (records the paired perfect number's digit count)
-    or composite. A composite 2**p - 1 is factored under the budget: it
-    is an imposter (records the smallest witness factor) when a factor
-    turns up, and unresolved (composite, no witness within the budget)
-    otherwise.
+    or composite. A composite 2**p - 1 is an imposter when the walk up its
+    class of primes (``euler_refined_class``), to budget if given, meets a
+    q with 2**p = 1 (mod q): the first such q, its least prime factor, is
+    the witness. Else it is unresolved (composite, no witness in budget).
     """
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
     if max_exponent < 2:
         raise ValueError(f"max_exponent must be >= 2, got {max_exponent}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     examined = []
     outcome = None
     for p in primes_up_to(max_exponent):
@@ -104,9 +106,8 @@ def frenicle_scan(min_digits, max_exponent, budget=None):
             if outcome is None and record.digits >= min_digits:
                 outcome = record
             continue
-        fact, _trace = factor_mersenne(p, budget)
-        if fact.factors:
-            examined.append(ExponentVerdict(p, IMPOSTER, witness=fact.factors[0][0]))
-        else:
-            examined.append(ExponentVerdict(p, UNRESOLVED))
+        segments = class_segments(euler_refined_class(p), budget)
+        witness = next((q for s in segments for q in s if pow(2, p, q) == 1), None)
+        verdict = IMPOSTER if witness else UNRESOLVED
+        examined.append(ExponentVerdict(p, verdict, witness=witness))
     return ChallengeReport(min_digits, tuple(examined), outcome)

@@ -12,7 +12,8 @@ first 13 prime bases, which decide primality exactly below PSI13
 ``prime_factors`` tries the cached primes in blocks of 32 by gcds: block 0,
 2..131, against a constant, and the blocks from 1 on down a product tree
 (Bernstein, 2004), which only trial division builds, as far as it
-reaches, and replaces under the lock.
+reaches, and replaces under the lock; it grows the sieve only while the
+cofactor is not one that ``is_prime`` proves prime below PSI13.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 sieves each residue's progression a segment at a time and merges them,
@@ -202,7 +203,8 @@ def prime_factors(n):
     If the cached limit covers isqrt(n), the cached list is read once,
     with no lock: growth publishes the flags, then the primes, then the
     limit, so a limit read first is covered by the list read after it.
-    Else the sieve doubles while p*p <= the cofactor, which is then prime.
+    Else the sieve doubles while p*p <= the cofactor and ``is_prime`` does
+    not prove it prime below PSI13; what is left is then prime.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
@@ -212,7 +214,7 @@ def prime_factors(n):
     if root <= _cached_limit:
         primes = _cached_primes
         n, root = _divide_out(n, primes, 0, len(primes), factors), 0
-    while bound < root:
+    while bound < root and (n >= PSI13 or not is_prime(n)):
         bound = max(2 * bound, _cached_limit, 1 << 10)
         primes, count = shared_primes(min(bound, root))
         n = _divide_out(n, primes, tried, count, factors)

@@ -2,8 +2,33 @@ import bisect
 import functools
 import itertools
 import math
+import signal
 
 import pytest
+
+# Seconds any one test may run, where the platform has SIGALRM; the
+# slowest test takes about 3 s on a 2-core host.
+TIME_LIMIT = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT seconds, so a loop that stops
+    advancing fails the test instead of hanging the run."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TIME_LIMIT} s limit")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @functools.cache
@@ -50,13 +75,37 @@ def trial_division_is_prime(n):
 @pytest.fixture
 def cold_sieve(monkeypatch):
     """An empty sieve cache: no limit, primes or flags, so is_prime takes
-    its strong-test path, and an empty trial-division product tree."""
+    its strong-test path, and an empty trial-division product tree. The
+    fixture's value, called, empties them again."""
     from fermatkit import primes
 
-    monkeypatch.setattr(primes, "_cached_limit", 0)
-    monkeypatch.setattr(primes, "_cached_primes", [])
-    monkeypatch.setattr(primes, "_cached_flags", b"")
-    monkeypatch.setattr(primes, "_block_tree", [[]])
+    def empty():
+        monkeypatch.setattr(primes, "_cached_limit", 0)
+        monkeypatch.setattr(primes, "_cached_primes", [])
+        monkeypatch.setattr(primes, "_cached_flags", b"")
+        monkeypatch.setattr(primes, "_block_tree", [[]])
+
+    empty()
+    return empty
+
+
+@pytest.fixture
+def sieve_ceiling(monkeypatch):
+    """A function of limit after which a request to grow the shared sieve
+    past limit fails the test before any sieve is built, so a test of a
+    bound fails fast, not by exhausting memory, where the bound breaks."""
+    from fermatkit import primes
+
+    shared_primes = primes.shared_primes
+
+    def ceiling(limit):
+        def capped(n):
+            assert n <= limit, f"the sieve was asked to reach {n} > {limit}"
+            return shared_primes(n)
+
+        monkeypatch.setattr(primes, "shared_primes", capped)
+
+    return ceiling
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 
 import fermatkit
 import fermatkit.mersenne as mersenne_module
+from fermatkit import primes
 from fermatkit.mersenne import (
     divisibility_conjecture_check,
     exponent_progression,
@@ -133,10 +134,12 @@ class TestOrder:
         for q in _prime_divisors(k):
             assert pow(base, k // q, modulus) != 1, q
 
-    def test_prime_modulus_is_not_factored(self, monkeypatch):
-        # φ(p) = p - 1 for a prime p below psi_13, so only p - 1 is
-        # factored; a composite, and any modulus at or past psi_13, still
-        # factors the modulus itself.
+    def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve):
+        # φ comes only from prime_factors(modulus), which stops at once on a
+        # prime below psi_13 that is_prime proves, so only p - 1 is trial
+        # divided: from a cold cache the sieve stays at its first 1024 (3
+        # and 2 need none). A composite, and any modulus at or past psi_13,
+        # is factored too.
         calls, prime_factors = [], mersenne_module.prime_factors
 
         def counting_factors(n):
@@ -145,13 +148,29 @@ class TestOrder:
 
         monkeypatch.setattr(mersenne_module, "prime_factors", counting_factors)
         for p in (3, 683, 1000003, 10**9 + 7, 10**12 + 39, 2**61 - 1):
+            cold_sieve()
             calls.clear()
             assert pow(2, order(2, p).order, p) == 1
-            assert calls == [p - 1], p
+            assert calls == [p, p - 1], p
+            assert primes._cached_limit == (0 if p == 3 else 1024), p
         for m in (10**12 + 1, 3**60):
             calls.clear()
             order(2, m)
             assert calls[0] == m, m
+
+    @pytest.mark.parametrize("modulus,k", [
+        (100000000379, 50000000189),
+        (10000000000000001963, 5000000000000000981),
+    ])
+    def test_safe_prime_leaves_the_first_sieve(self, cold_sieve, sieve_ceiling,
+                                               modulus, k):
+        # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
+        # sympy's n_order. The prime cofactor's root lies past the first
+        # sieve (1024), but once is_prime proves it the sieve stops: grown
+        # to that root, it would reach 262,144, or about 2 * 10**9.
+        sieve_ceiling(1024)
+        assert order(3, modulus).order == k
+        assert primes._cached_limit == 1024
 
     def test_unchanged_for_odd_moduli_to_30000(self, factor_loop):
         # The least k with 2**k = 1 mod m: it divides φ(m), from the

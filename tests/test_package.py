@@ -1,7 +1,10 @@
 import os
+import signal
 import subprocess
 import sys
 import types
+
+import pytest
 
 import fermatkit
 
@@ -24,3 +27,22 @@ def test_cli_import_leaves_heavy_modules_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_a_test_that_hangs_fails_at_its_time_limit(tmp_path):
+    # This suite's conftest, with a 1 s limit, around a loop that never
+    # ends: the run reports one failure instead of hanging.
+    limit = "\nTIME_LIMIT = 60\n"
+    with open(os.path.join(os.path.dirname(__file__), "conftest.py")) as f:
+        text = f.read()
+    assert limit in text
+    (tmp_path / "conftest.py").write_text(text.replace(limit, "\nTIME_LIMIT = 1\n"))
+    (tmp_path / "test_hang.py").write_text(
+        "def test_hang():\n    while True:\n        pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "."],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert "1 failed" in proc.stdout
+    assert "test ran past its 1 s limit" in proc.stdout

@@ -162,8 +162,24 @@ class TestFrenicleScan:
         assert "exponent 59: unresolved (scan budget exhausted)" in text
         assert text.endswith("(37 digits, exponent 61)")
 
+    def test_witnesses_are_least_factors_to_100(self):
+        # Each imposter's witness is the least prime factor of 2**p - 1, by
+        # sympy; M83's cofactor of 23 digits is never scanned, and M89 is
+        # prime by Lucas-Lehmer.
+        sympy = pytest.importorskip("sympy")
+        report = frenicle_scan(20, 100)
+        assert [v.exponent for v in report.examined] == list(sympy.primerange(2, 101))
+        verdicts = {v.exponent: v.verdict for v in report.examined}
+        assert verdicts[89] == MERSENNE_PRIME
+        assert UNRESOLVED not in verdicts.values()
+        for v in report.examined:
+            if v.verdict == IMPOSTER:
+                assert v.witness == min(sympy.factorint(2**v.exponent - 1)), v
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             frenicle_scan(0, 37)
         with pytest.raises(ValueError):
             frenicle_scan(1, 1)
+        with pytest.raises(ValueError, match="budget"):
+            frenicle_scan(20, 37, budget=0)

@@ -272,18 +272,35 @@ class TestPrimeFactors:
         # 1031, the first prime past the first sieve (1024), is left as a
         # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which
         # doubles; in 1031 * LARGE_PRIME the cofactor left by a hit in the
-        # cached primes has its stop two doublings further on.
+        # cached primes is proven prime, so the sieve grows no further.
         for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 2048),
-                         (4099**2, 8192), (1031 * LARGE_PRIME, 32768)):
+                         (4099**2, 8192), (1031 * LARGE_PRIME, 8192)):
             assert prime_factors(n) == factor_loop(n), n
             assert primes._cached_limit == limit, n
 
+    def test_smooth_times_prime_below_psi13(self, cold_sieve, sieve_ceiling):
+        # n = s * P, s 10**4-smooth and P prime, up to psi_13: the loop ends
+        # at P once is_prime proves it, however far past the sieve its root
+        # lies, and the sieve reaches no further than s needs, 16,384.
+        # sympy's factorint is the oracle.
+        sympy = pytest.importorskip("sympy")
+        sieve_ceiling(16384)
+        rng = random.Random(16)
+        small = primes_up_to(10**4)
+        for _ in range(200):
+            s = math.prod(rng.choices(small, k=rng.randrange(0, 5)))
+            top = min(10 ** rng.randrange(5, 26), (primes.PSI13 - 1) // s)
+            n = s * sympy.prevprime(rng.randrange(10**4, top))
+            assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
+
     def test_sieve_grows_as_the_per_prime_loop_grew_it(self, cold_sieve):
-        # From a cold cache, the limits the per-prime loop left after each
-        # call: the stop still drops after each hit and the sieve doubles.
+        # From a cold cache, the limits left after each call: the stop
+        # still drops after each hit and the sieve doubles, but a cofactor
+        # that is_prime proves, LARGE_PRIME or 10**12 - 11, ends the loop
+        # before it grows; 999983**2 is no prime and needs the sieve.
         calls = [2**44, 1031 * 1033, 2 * LARGE_PRIME, 3**27, 4099**2,
                  10**12 - 11, 2**3 * 999983**2, LARGE_PRIME]
-        limits = [1024, 2048, 32768, 32768, 32768, 1048576, 1048576, 1048576]
+        limits = [1024, 2048, 2048, 2048, 8192, 8192, 1048576, 1048576]
         for n, limit in zip(calls, limits):
             prime_factors(n)
             assert primes._cached_limit == limit, n
