@@ -65,14 +65,12 @@ def qr2(q):
 def euler_refined_class(q):
     """Intersect 1 mod 2q with +-1 mod 8: two residues mod 8q.
 
-    Found by scanning [1, 8q); the moduli involved are tiny, so the
-    scan doubles as its own correctness argument.
+    The members of [1, 8q) that are 1 mod 2q are 1, 1 + 2q, 1 + 4q and
+    1 + 6q, one in each odd class mod 8 since q is odd; the two that are
+    +-1 mod 8 are kept.
     """
     _check_odd_prime(q, "euler_refined_class")
-    two_q = 2 * q
-    residues = frozenset(
-        r for r in range(1, 8 * q) if r % two_q == 1 and r % 8 in (1, 7)
-    )
+    residues = frozenset(r for r in range(1, 8 * q, 2 * q) if r % 8 in (1, 7))
     return CandidateClass(8 * q, residues, q)
 
 

@@ -6,22 +6,29 @@ until sufficient), keeps the sieve's flag bytearray beside its prime
 list, and replaces both under a lock, so concurrent readers only ever
 see complete tables. ``is_prime`` never grows it: it reads n's flag when
 n is in range, and otherwise runs strong probable-prime tests to the
-first 13 prime bases, which decide primality exactly below PSI13
-(Sorenson and Webster, Math. Comp. 86, 2017).
+first k of the 13 prime bases 2..41, for the least k with n < psi_k, the
+least odd composite that passes the test to those k bases. So the test
+decides primality exactly below PSI13 = psi_13. The psi_k are from
+Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) for k <= 4,
+Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang and Deng (Math.
+Comp. 83, 2014) for k = 9..11, and Sorenson and Webster (Math. Comp. 86,
+2017) for k = 12 and 13.
 
-``prime_factors`` tries the cached primes in blocks of 32 by gcds: block 0,
+``prime_factors`` answers a prime n within the cached sieve by its flag,
+and otherwise tries the cached primes in blocks of 32 by gcds: block 0,
 2..131, against a constant, and the blocks from 1 on down a product tree
 (Bernstein, 2004), which only trial division builds, as far as it
 reaches, and replaces under the lock; it grows the sieve only while the
 cofactor is not one that ``is_prime`` proves prime below PSI13.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
-sieves each residue's progression a segment at a time and merges them,
-and a scan sends it where the scan stops. Segments grow 8x from 64 k
-values up to a cap, and each sieving prime carries a running offset, the
-next member it strikes, from segment to segment (the segmented sieve for
-arithmetic progressions of Bays and Hudson, BIT 17, 1977).
-``primes_in_classes`` flattens it.
+reads each residue's progression from the shared sieve's flags as far as
+they reach when the walk starts, then sieves it a segment at a time, and
+merges the residues; a scan sends it where the scan stops. Segments grow
+8x from 64 k values up to a cap, and each sieving prime carries a
+running offset, the next member it strikes, from segment to segment
+(the segmented sieve for arithmetic progressions of Bays and Hudson,
+BIT 17, 1977). ``primes_in_classes`` flattens it.
 """
 
 import _thread
@@ -70,10 +77,13 @@ def primes_up_to(limit):
     return primes[:count]
 
 
-# The first 13 primes, and the least n that passes the strong test to all
-# of them without being prime (Sorenson and Webster): below it the test
-# is exact.
+# The first 13 primes, and psi_1 .. psi_12 and PSI13 (OEIS A014233):
+# psi_k is the least odd composite that passes the strong test to the
+# first k, so below it those k bases are exact.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
 PSI13 = 3317044064679887385961981
 
 
@@ -82,8 +92,10 @@ def is_prime(n):
 
     0 <= n <= the sieve's limit is answered by n's flag. Past it, n is
     divided by the 13 bases 2..41 and then, below PSI13, given the strong
-    test to each base. n >= PSI13 without a factor <= 41 raises
-    ValueError, since no base set here is proven exact for it.
+    test to the first k bases for the least k with n < psi_k: 4 bases
+    below 3,215,031,751, all 13 only from psi_12. n >= PSI13 without a
+    factor <= 41 raises ValueError, since no base set here is proven
+    exact for it.
     """
     flags = _cached_flags  # replaced, never mutated, by growth
     if 0 <= n < len(flags):
@@ -99,7 +111,7 @@ def is_prime(n):
         )
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
     d = (n - 1) >> s
-    for a in _BASES:
+    for a in _BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -200,9 +212,10 @@ def prime_factors(n):
 
     The primes up to isqrt(n) go by gcds: block 0 by one with its constant,
     so n < 137**2 builds no tree, and later blocks by the tree search.
-    If the cached limit covers isqrt(n), the cached list is read once,
-    with no lock: growth publishes the flags, then the primes, then the
-    limit, so a limit read first is covered by the list read after it.
+    If the cached limit covers isqrt(n), a prime n that it covers is
+    answered by its flag, and else the cached list is read once, with no
+    lock: growth publishes the flags, then the primes, then the limit, so
+    a limit read first is covered by the flags and list read after it.
     Else the sieve doubles while p*p <= the cofactor and ``is_prime`` does
     not prove it prime below PSI13; what is left is then prime.
     """
@@ -212,6 +225,8 @@ def prime_factors(n):
     tried = bound = 0
     root = math.isqrt(n)
     if root <= _cached_limit:
+        if n <= _cached_limit and _cached_flags[n]:
+            return ((n, 1),)
         primes = _cached_primes
         n, root = _divide_out(n, primes, 0, len(primes), factors), 0
     while bound < root and (n >= PSI13 or not is_prime(n)):
@@ -247,16 +262,20 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each residue r is its own progression r + k*m, sieved a segment of k
-    values at a time, and each sieving prime strikes one progression of k
-    in it; the segment's per-residue lists are merged. The walk stops past
-    limit, if any. Each residue keeps its own plan entry per sieving prime:
-    the library's classes have one or two residues, but the 480 units mod
-    2310 take about 2.3 s to 10**8 on a 2-core host.
+    Each residue r is its own progression r + k*m. Up to the last k whose
+    members all have flags in the shared sieve when the walk starts, a
+    segment is read from those flags by a strided slice; past it, it is
+    sieved, and each sieving prime strikes one progression of k in it.
+    The segment's per-residue lists are merged. The walk stops past
+    limit, if any. Each residue keeps its own plan entry per sieving
+    prime: the library's classes have one or two residues, but the 480
+    units mod 2310 take about 2.3 s to 10**8 on a 2-core host.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
-    to _MAX_SEGMENT. A sieving prime's offset is found once, when a segment
-    first reaches its square; each segment carries it past its end.
+    to _MAX_SEGMENT; the one holding the last flagged k is cut after it,
+    and the walk then drops the flags, so growth can free them. A sieving
+    prime's offset is found once, when a sieved segment first reaches its
+    square; each segment carries it past its end.
 
     A scan may send where it stops: the next segment then ends at the last
     k whose least member is at most that, but spans _FIRST_SEGMENT k values
@@ -268,45 +287,56 @@ def class_segments(classes, limit=None):
     m = classes.modulus
     residues = sorted(classes.residues)
     cap = math.inf if limit is None else limit + 1
+    # The k values below read have every member's flag in the shared sieve.
+    flags = _cached_flags
+    read = max(0, (len(flags) - 1 - residues[-1]) // m + 1)
     # Sieving prime p strikes each k with p | r + k*m from the first member
     # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
     # p | m, p strikes every member (stride 1) when p | r, none otherwise.
     plans = [[] for _ in residues]
-    planned, k0, size, stop = 0, 0, _FIRST_SEGMENT, None
+    planned, k0, end, size, stop = 0, 0, 0, _FIRST_SEGMENT, None
     while k0 * m + residues[0] < cap:
-        n = size if stop is None else min(
-            size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
-        if limit is not None:
-            n = min(n, (limit - residues[0]) // m + 1 - k0)
-        primes, count = shared_primes(math.isqrt((k0 + n - 1) * m + residues[-1]))
-        for p in itertools.islice(primes, planned, count):
-            inverse = pow(m, -1, p) if m % p else 0  # one per prime
-            for r, plan in zip(residues, plans):
-                # from the first member >= p*p, but not before this segment
-                k = max(k0, -((r - p * p) // m))
-                if inverse:
-                    plan.append([p, k + (-r * inverse - k) % p])
-                elif r % p == 0:
-                    plan.append([1, k])
+        if k0 == end:  # the next segment of the schedule
+            n = size if stop is None else min(
+                size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
+            if limit is not None:
+                n = min(n, (limit - residues[0]) // m + 1 - k0)
+            end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
+        if k0 < read:  # cut where the flags end
+            k1 = min(end, read)
+        else:
+            k1, flags = end, None  # past the flags: growth may free them
+            primes, count = shared_primes(math.isqrt((k1 - 1) * m + residues[-1]))
+            for p in itertools.islice(primes, planned, count):
+                inverse = pow(m, -1, p) if m % p else 0  # one per prime
+                for r, plan in zip(residues, plans):
+                    # from the first member >= p*p, but not before this segment
+                    k = max(k0, -((r - p * p) // m))
+                    if inverse:
+                        plan.append([p, k + (-r * inverse - k) % p])
+                    elif r % p == 0:
+                        plan.append([1, k])
+            planned = count
         lists = []
         for r, plan in zip(residues, plans):
-            members = range(k0 * m + r, min((k0 + n) * m + r, cap), m)
-            width = len(members)
-            flags = bytearray([1]) * width
-            if members and members[0] < 2:  # 0 and 1 are not prime
-                flags[0] = 0
-            for entry in plan:
-                i = entry[1] - k0
-                if i < width:
-                    p = entry[0]
-                    strikes = (width - 1 - i) // p + 1
-                    flags[i::p] = bytes(strikes)
-                    entry[1] += strikes * p
-            lists.append(list(itertools.compress(members, flags)))
-        planned = count
+            members = range(k0 * m + r, min(k1 * m + r, cap), m)
+            if flags:
+                sieve = flags[members.start : members.stop : m]
+            else:
+                width = len(members)
+                sieve = bytearray([1]) * width
+                if members and members[0] < 2:  # 0 and 1 are not prime
+                    sieve[0] = 0
+                for entry in plan:
+                    i = entry[1] - k0
+                    if i < width:
+                        p = entry[0]
+                        strikes = (width - 1 - i) // p + 1
+                        sieve[i::p] = bytes(strikes)
+                        entry[1] += strikes * p
+            lists.append(list(itertools.compress(members, sieve)))
         stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
-        k0 += n
-        size = min(_GROWTH * n, _MAX_SEGMENT)
+        k0 = k1
 
 
 def primes_in_classes(limit, classes):

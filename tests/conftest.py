@@ -174,6 +174,21 @@ def class_walk():
     return walk_class
 
 
+def refined_residues_scan(q):
+    """The scan euler_refined_class replaced, kept as its oracle: the
+    residues in [1, 8q) that are 1 mod 2q and +-1 mod 8, found by trying
+    every one of them."""
+    two_q = 2 * q
+    return frozenset(
+        r for r in range(1, 8 * q) if r % two_q == 1 and r % 8 in (1, 7)
+    )
+
+
+@pytest.fixture
+def refined_scan():
+    return refined_residues_scan
+
+
 def lucas_lehmer_mod(p):
     """The Lucas-Lehmer loop that reduced by %, kept as the oracle of the
     shift-add reduction: whether 2**p - 1 is prime, primality of p by this

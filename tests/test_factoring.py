@@ -247,23 +247,30 @@ class TestClassSieveScan:
         # segment's members: 64 per residue. A hit that lowers the stop
         # inside a segment leaves the rest of it untried, so the surplus of
         # yielded over tried primes is bounded only for scans whose stop
-        # no hit lowered. Segments growing 8x read 404 segments in all
-        # (4x read 454, doubling 613); the bound keeps the schedule there.
+        # no hit lowered. A segment that called shared_primes was sieved;
+        # one that did not was read from the shared sieve's flags. Segments
+        # growing 8x sieve 300 segments and read 188; with none read, 404
+        # were sieved (4x growth 454, doubling 613). The bound keeps both
+        # the schedule and the flag read there.
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
+        shared_primes, sieved = primes.shared_primes, []
+        monkeypatch.setattr(primes, "shared_primes",
+                            lambda limit: sieved.append(limit) or shared_primes(limit))
 
         def counted_segments(classes):
             walk, stop = segments(classes), None
             while True:
+                before = len(sieved)
                 try:
                     segment = walk.send(stop)
                 except StopIteration:
                     return
                 scans[-1]["yielded"] += segment
-                scans[-1]["segments"] += 1
+                scans[-1]["sieved" if len(sieved) > before else "read"] += 1
                 stop = yield segment
 
         def recorded_scan(cofactor, cls, budget, steps, counts):
-            record = {"cls": cls, "yielded": [], "segments": 0}
+            record = {"cls": cls, "yielded": [], "sieved": 0, "read": 0}
             scans.append(record)
             before = len(steps)
             result = scan(cofactor, cls, budget, steps, counts)
@@ -283,7 +290,7 @@ class TestClassSieveScan:
             if n != 122:
                 factor_mersenne(n, budget=10**7)
         assert len(scans) == 186
-        assert sum(r["segments"] for r in scans) <= 420
+        assert sum(r["sieved"] for r in scans) <= 320
         for r in scans:
             one_segment = primes._FIRST_SEGMENT * len(r["cls"].residues)
             past = [p for p in r["yielded"] if p > r["first_stop"]]
@@ -292,6 +299,16 @@ class TestClassSieveScan:
             if r["last_stop"] == r["first_stop"]:
                 surplus = len(r["yielded"]) - len(r["tried"])
                 assert surplus <= one_segment, r["cls"]
+
+    def test_traces_do_not_depend_on_the_sieve(self, cold_memo, cold_sieve):
+        # From a cold sieve most scans sieve; from one grown to 10**5 most
+        # read their first segments from its flags.
+        exponents = [n for n in range(2, 129) if n != 122]
+        cold = [factor_mersenne(n, budget=10**7) for n in exponents]
+        clear_cache()
+        cold_sieve()
+        primes.primes_up_to(10**5)
+        assert [factor_mersenne(n, budget=10**7) for n in exponents] == cold
 
     def test_m61_completes_unbudgeted(self, cold_memo):
         fact, trace = factor_mersenne(61)

@@ -106,6 +106,10 @@ class TestEulerRefinedClass:
                 assert r % (2 * q) == 1
                 assert r % 8 in (1, 7)
 
+    def test_matches_the_scan_below_10_to_4(self, oracle_primes, refined_scan):
+        for q in (q for q in oracle_primes(14)[1:] if q < 10**4):
+            assert euler_refined_class(q).residues == refined_scan(q), q
+
     def test_rejects_composites(self):
         with pytest.raises(ValueError):
             euler_refined_class(15)

@@ -117,6 +117,31 @@ PSEUDOPRIMES = (
     318665857834031151167461,
 )
 
+# psi_1 .. psi_13 as products of primes.
+PSI_FACTORS = ((23, 89), (829, 1657), (2251, 11251), (151, 751, 28351),
+               (6763, 10627, 29947), (1303, 16927, 157543),
+               (10670053, 32010157), (10670053, 32010157),
+               (149491, 747451, 34233211), (149491, 747451, 34233211),
+               (149491, 747451, 34233211), (399165290221, 798330580441),
+               (1287836182261, 2575672364521))
+PSI = primes._PSI + (primes.PSI13,)
+
+
+def strong_probable_prime(n, a):
+    """Whether the odd n > 2 passes the strong test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):  # a**(d * 2**r) for r < s
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
 # Carmichael numbers: Fermat pseudoprimes to every coprime base. The
 # last three have no prime factor <= 41, so only the strong test sees them.
 CARMICHAEL = ((3, 11, 17), (7, 13, 19), (37, 73, 109),
@@ -170,6 +195,54 @@ class TestStrongTest:
             n *= p
         assert all((n - 1) % (p - 1) == 0 for p in factors)  # Korselt
         assert not is_prime(n)
+
+    def test_psi_table(self, oracle_primes, trial_division):
+        # Each psi_k is composite and passes the strong test to the first
+        # k primes. The least factors of psi_12 and psi_13 lie past 10**11,
+        # out of trial division's reach, so each psi_k is shown composite
+        # by its factors, each of them prime by trial division.
+        bases = oracle_primes(6)[:13]
+        assert list(PSI) == sorted(PSI) and PSI[-2] < primes.PSI13
+        assert set(PSI[:-1]) == set(PSEUDOPRIMES)
+        for k, (psi, factors) in enumerate(zip(PSI, PSI_FACTORS), 1):
+            assert math.prod(factors) == psi and len(factors) > 1, k
+            assert all(map(trial_division, factors)), k
+            assert all(strong_probable_prime(psi, a) for a in bases[:k]), k
+
+    def test_agrees_with_sympy_in_every_band(self, cold_sieve, oracle_primes):
+        # 2,000 seeded n in each band [psi_(k-1), psi_k) with no prime
+        # factor <= 41, so each reaches the strong test to k bases, and
+        # each n within 2 of psi_k below PSI13.
+        isprime = pytest.importorskip("sympy").isprime
+        small = math.prod(oracle_primes(6)[:13])
+        rng, low = random.Random(1993), 2
+        for psi in PSI:
+            if low < psi:
+                tested = 0
+                while tested < 2000:
+                    n = rng.randrange(low, psi)
+                    if math.gcd(n, small) == 1:
+                        assert is_prime(n) == isprime(n), n
+                        tested += 1
+            for n in range(psi - 2, min(psi + 3, primes.PSI13)):
+                assert is_prime(n) == isprime(n), n
+            low = psi
+
+    def test_bases_by_size(self, cold_sieve, monkeypatch):
+        # The primes on each side of each psi_k: each takes the first j
+        # bases, for the least j with n < psi_j, no more.
+        sympy = pytest.importorskip("sympy")
+        bases = []
+        monkeypatch.setattr(primes, "pow",
+                            lambda a, *rest: bases.append(a) or pow(a, *rest),
+                            raising=False)
+        for k, psi in enumerate(PSI, 1):
+            for n in (sympy.prevprime(psi), sympy.nextprime(psi)):
+                if n < primes.PSI13:
+                    bases.clear()
+                    assert is_prime(n)
+                    want = next(j for j, bound in enumerate(PSI, 1) if n < bound)
+                    assert bases == list(primes._BASES[:want]), (k, n)
 
     def test_never_sieves(self, cold_sieve, monkeypatch):
         def no_sieve(limit):
@@ -413,6 +486,13 @@ class TestProductTree:
         assert prime_factors(10**12 - 11) == ((10**12 - 11, 1),)
         assert len(calls) <= 8
 
+    def test_a_cached_prime_takes_no_gcd(self, cold_sieve, monkeypatch):
+        # Its flag answers, as for each order(2, p) of the FLT sweep.
+        primes_up_to(50000)
+        calls = count_gcds(monkeypatch)
+        assert prime_factors(49999) == ((49999, 1),)
+        assert calls == []
+
     def test_no_tree_below_the_square_of_137(self, cold_sieve):
         # 137 is the first prime past block 0, so n < 137**2 is settled by
         # the gcd with block 0's constant.
@@ -542,7 +622,7 @@ class TestClassSegments:
         with pytest.raises(ValueError):
             next(class_segments(Empty()))
 
-    def test_wide_modulus_stays_bounded(self, class_walk):
+    def test_wide_modulus_stays_bounded(self, cold_sieve, class_walk):
         # Residues 1 and -1 mod 2*10**6: each segment sieves only their
         # members, two per k, not the 10**6 odd numbers per k that one
         # progression through both would cover.
@@ -559,7 +639,7 @@ class TestClassSegments:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_first_members_past_a_sieving_square(self, class_walk):
+    def test_first_members_past_a_sieving_square(self, cold_sieve, class_walk):
         # Every member is past 2*2, and residue 10 past 3*3: their first
         # strike is at k = 0, in the first segment, never before it; 3's
         # first strike on residues 5, 6 and 8 is at k = 1.
@@ -567,7 +647,7 @@ class TestClassSegments:
         sieved = list(itertools.islice(flatten_segments(cls), 3000))
         assert sieved == list(itertools.islice(class_walk(cls), 3000))
 
-    def test_stride_one_offsets_carry_across_segments(self, class_walk):
+    def test_stride_one_offsets_carry_across_segments(self, cold_sieve, class_walk):
         # 2 and 5 divide the modulus 100 and the residues 2 and 5, so each
         # strikes every member of its residue past itself, a stride-1 entry
         # carried from segment to segment.
@@ -580,7 +660,7 @@ class TestClassSegments:
         assert flat[:3] == [2, 3, 5]
         assert flat == list(itertools.islice(class_walk(cls), len(flat)))
 
-    def test_many_residues_cross_every_segment_size(self, oracle_primes):
+    def test_many_residues_cross_every_segment_size(self, cold_sieve, oracle_primes):
         # The 48 units mod 210 and 7, which shares 7 with the modulus and
         # so takes stride-1 entries: to 10**6, k reaches 4,761, past the
         # segments of 64, 512 and 4,096 k values into the fourth.
@@ -596,7 +676,7 @@ class TestClassSegments:
 
     @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
                              ids=["refined-61", "generalized-116"])
-    def test_limits_at_segment_boundaries(self, class_walk, cls):
+    def test_limits_at_segment_boundaries(self, cold_sieve, class_walk, cls):
         # Segments of 64, 512, 4,096 and 32,768 k values end at k = 64,
         # 576, 4,672 and 37,440; a limit just below or at the first member
         # of the next segment ends the walk in one or the other.
@@ -608,7 +688,76 @@ class TestClassSegments:
             assert primes_in_classes(limit, cls) == expected, limit
 
 
-def test_inverts_the_modulus_once_per_prime(monkeypatch):
+def spy_shared_primes(monkeypatch):
+    """The list of shared_primes limits asked for from here on."""
+    calls = []
+    shared_primes = primes.shared_primes
+    monkeypatch.setattr(primes, "shared_primes",
+                        lambda limit: calls.append(limit) or shared_primes(limit))
+    return calls
+
+
+# euler_refined_class(61): modulus 488, residues 1 and 367. A sieve to
+# k*488 + 367 holds the flags of every member up to k, and no further.
+REFINED_61 = euler_refined_class(61)
+STRIDE_ONE = (CandidateClass(2, frozenset({0, 1}), 2),
+              CandidateClass(6, frozenset({2, 3, 5}), 2),
+              CandidateClass(10, frozenset({1, 5}), 2))
+
+
+class TestFlagPrefix:
+    # (class, sieve limit, walk limit): the k values whose members all
+    # have flags end inside the first segment of 64 k values (at 10), at
+    # the ends of the first and second (64, 576), between the two residues
+    # of k = 100, or past the walk's limit. For the stride-1 classes a
+    # sieve to 1024 ends them at k = 512, 170 and 102, in the second
+    # segment, and one to 10**4 + 7 at 5,004, 1,668 and 1,001.
+    CUTS = [(REFINED_61, 5000, None), (REFINED_61, 63 * 488 + 367, None),
+            (REFINED_61, 575 * 488 + 367, None), (REFINED_61, 100 * 488 + 100, None),
+            (REFINED_61, 50000, 10**4), (REFINED_61, 50000, 10**6)]
+    CUTS += [(cls, limit, None) for cls in STRIDE_ONE for limit in (1024, 10**4 + 7)]
+    CUTS += [(cls, 10**4, 5000) for cls in STRIDE_ONE]
+
+    @pytest.mark.parametrize("cls,sieve,limit", CUTS)
+    def test_matches_the_walk(self, cold_sieve, class_walk, monkeypatch,
+                              cls, sieve, limit):
+        primes_up_to(sieve)
+        assert primes._cached_limit == sieve
+        calls = spy_shared_primes(monkeypatch)
+        bound = 4 * sieve if limit is None else limit
+        walked = itertools.takewhile(lambda p: p <= bound, flatten_segments(cls, limit))
+        assert list(walked) == list(class_walk(cls, bound))
+        # A walk that ends inside the flags sieves nothing.
+        assert (calls == []) == (limit is not None and limit <= sieve)
+
+    # Sent stops below, at and past the last member with a flag, 299*488 +
+    # 367: after the first segment, the next ends at the stop's k, 200, 299
+    # or 400, and is cut where the flags end at k = 300. The first sieved
+    # segment then ends at k = 364, 64 past the prefix, or at k = 401.
+    @pytest.mark.parametrize("stop,sieved_to", [
+        (200 * 488 + 1, None), (299 * 488 + 367, 364), (400 * 488 + 1, 401)],
+        ids=["below", "at", "past"])
+    def test_sent_stops(self, cold_sieve, class_walk, monkeypatch, stop, sieved_to):
+        primes_up_to(299 * 488 + 367)
+        flags = primes._cached_flags
+        held = sys.getrefcount(flags)
+        calls = spy_shared_primes(monkeypatch)
+        segments = class_segments(REFINED_61)
+        flat = next(segments)
+        assert sys.getrefcount(flags) == held + 1  # the walk reads them
+        while flat[-1] <= stop:
+            flat += segments.send(stop)
+        assert flat == list(class_walk(REFINED_61, flat[-1]))
+        assert len([p for p in flat if p > stop]) <= 2 * primes._FIRST_SEGMENT
+        if sieved_to is None:
+            assert calls == []
+            assert sys.getrefcount(flags) == held + 1
+        else:
+            assert calls[0] == math.isqrt((sieved_to - 1) * 488 + 367)
+            assert sys.getrefcount(flags) == held  # dropped past the prefix
+
+
+def test_inverts_the_modulus_once_per_prime(cold_sieve, monkeypatch):
     # Both residues share each sieving prime's inverse of the modulus
     # 2*10**6; 2 and 5 divide it and need none.
     calls = []
@@ -632,7 +781,7 @@ def classes_with_stops(draw):
     return CandidateClass(modulus, residues, 2), limit, stops
 
 
-def test_sent_stops_move_only_where_segments_end(class_walk):
+def test_sent_stops_move_only_where_segments_end(cold_sieve, class_walk):
     # Send each stop after a segment, then walk on unsent: bounded walks
     # run out, unbounded ones go on past 20,000, and either way the
     # primes up to the bound are exactly the walk's.
