@@ -1,7 +1,8 @@
 """Command-line interface: parse, call the library, print what ``render`` gives.
 
-The ``order`` line and the ``verify-flt`` sweep messages are the only text
-written here. Exit codes: 0 on success (and all replay items passing), 1
+Every result's text comes from ``render``; the ``verify-flt`` sweep's loop
+runs here, and the one line written here is the error line of a
+``ValueError``. Exit codes: 0 on success (and all replay items passing), 1
 when a replay item or sweep finds a mismatch, 2 on usage or domain errors,
 141 (128 + SIGPIPE) when stdout is closed before the output is written,
 as by ``| head``; that case prints nothing to stderr.
@@ -90,7 +91,7 @@ def _cmd_factor(args):
 
 def _cmd_order(args):
     record = order(args.base, args.m)
-    print(f"order of {record.base} mod {record.modulus} = {record.order}")
+    print(render.order_text(record))
     return 0
 
 
@@ -104,15 +105,14 @@ def _cmd_verify_flt(args):
             checked += 1
             if not flt_check(p, a):
                 failures += 1
-                print(f"counterexample: p={p} a={a}")
+                print(render.flt_counterexample_text(p, a))
         if p > 2:
             k, holds = divisibility_conjecture_check(p)
             checked += 1
             if not holds:
                 failures += 1
-                print(f"counterexample: order {k} of 2 mod {p} "
-                      f"does not divide {p - 1}")
-    print(f"{checked} checks, {failures} counterexamples")
+                print(render.order_counterexample_text(p, k))
+    print(render.sweep_summary_text(checked, failures))
     return 1 if failures else 0
 
 

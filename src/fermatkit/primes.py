@@ -1,21 +1,21 @@
 """Prime generation and deterministic primality testing.
 
-A single module-level sieve cache backs ``primes_up_to``, ``is_prime``,
-``prime_factors`` and the class sieve. It grows on demand (doubling
-until sufficient), keeps the sieve's flag bytearray beside its prime
-list, and replaces both under a lock, so concurrent readers only ever
-see complete tables. ``is_prime`` never grows it: it reads n's flag when
-n is in range, and otherwise runs strong probable-prime tests to the
-first k of the 13 prime bases 2..41, for the least k with n < psi_k, the
-least odd composite that passes the test to those k bases. So the test
-decides primality exactly below PSI13 = psi_13. The psi_k are from
-Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) for k <= 4,
-Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang and Deng (Math.
-Comp. 83, 2014) for k = 9..11, and Sorenson and Webster (Math. Comp. 86,
-2017) for k = 12 and 13.
+One shared sieve backs ``primes_up_to``, ``is_prime``, ``prime_factors``
+and the class sieve: an immutable (flags, primes) snapshot of the sieve's
+flag bytearray and prime list. Growth doubles it until sufficient and
+replaces the snapshot in one assignment under a lock, so a reader that
+takes it once holds one complete sieve. ``is_prime`` never grows it: it
+reads n's flag when n is in range, and otherwise runs strong
+probable-prime tests to the first k of the 13 prime bases 2..41, for the
+least k with n < psi_k, the least odd composite that passes the test to
+those k bases. So the test decides primality exactly below PSI13 =
+psi_13. The psi_k are from Pomerance, Selfridge and Wagstaff (Math. Comp.
+35, 1980) for k <= 4, Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang
+and Deng (Math. Comp. 83, 2014) for k = 9..11, and Sorenson and Webster
+(Math. Comp. 86, 2017) for k = 12 and 13.
 
-``prime_factors`` answers a prime n within the cached sieve by its flag,
-and otherwise tries the cached primes in blocks of 32 by gcds: block 0,
+``prime_factors`` answers a prime n within the sieve by its flag, and
+otherwise tries the sieve's primes in blocks of 32 by gcds: block 0,
 2..131, against a constant, and the blocks from 1 on down a product tree
 (Bernstein, 2004), which only trial division builds, as far as it
 reaches, and replaces under the lock; it grows the sieve only while the
@@ -47,34 +47,30 @@ def _sieve(limit):
     return flags, list(itertools.compress(range(limit + 1), flags))
 
 
-_lock = _thread.RLock()
-_cached_limit = 0
-_cached_primes = []
-_cached_flags = b""
+_lock = _thread.allocate_lock()
+_shared = (b"", [])  # (flags, primes) of the sieve to len(flags) - 1
 
 
 def shared_primes(limit):
-    """The shared prime list and how many of its primes are <= limit.
+    """The shared sieve's (flags, primes) snapshot, grown to cover limit.
 
-    The list is the cache itself, not a copy: callers read it and never
-    mutate it. Growth replaces the flags, then the list, never changing old
-    ones, so a reference stays valid after the lock is released; flags
-    newer than a list are still exact, each a complete sieve of its range.
+    The snapshot is the cache itself, not a copy: callers read it and
+    never mutate it. Growth sieves to at least twice the old limit and
+    replaces the snapshot, never changing an old one, so a snapshot stays
+    valid, and exact over its own range, after the lock is released.
     """
-    global _cached_limit, _cached_primes, _cached_flags
+    global _shared
     with _lock:
-        if limit > max(_cached_limit, 1):
-            target = max(limit, 2 * _cached_limit, 1 << 10)
-            _cached_flags, _cached_primes = _sieve(target)
-            _cached_limit = target
-        primes = _cached_primes
-    return primes, bisect.bisect_right(primes, limit)
+        top = len(_shared[0]) - 1  # the sieve's limit, -1 when empty
+        if limit > max(top, 1):
+            _shared = _sieve(max(limit, 2 * top, 1 << 10))
+        return _shared
 
 
 def primes_up_to(limit):
     """All primes <= limit, as a fresh list served from the shared cache."""
-    primes, count = shared_primes(limit)
-    return primes[:count]
+    primes = shared_primes(limit)[1]
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 # The first 13 primes, and psi_1 .. psi_12 and PSI13 (OEIS A014233):
@@ -90,14 +86,15 @@ PSI13 = 3317044064679887385961981
 def is_prime(n):
     """True iff n is prime, without growing the sieve.
 
-    0 <= n <= the sieve's limit is answered by n's flag. Past it, n is
+    0 <= n <= the sieve's limit is answered by n's flag, read from the
+    shared snapshot by one global load and one index. Past it, n is
     divided by the 13 bases 2..41 and then, below PSI13, given the strong
     test to the first k bases for the least k with n < psi_k: 4 bases
     below 3,215,031,751, all 13 only from psi_12. n >= PSI13 without a
     factor <= 41 raises ValueError, since no base set here is proven
     exact for it.
     """
-    flags = _cached_flags  # replaced, never mutated, by growth
+    flags = _shared[0]  # replaced, never mutated, by growth
     if 0 <= n < len(flags):
         return flags[n] == 1
     if n < 2:
@@ -150,20 +147,21 @@ def _tree(primes, blocks):
     return tree
 
 
-def _divide_out(n, primes, i, count, factors):
-    """The cofactor of n once primes[i:count] up to its square root are out.
+def _divide_out(n, flags, primes, i, factors):
+    """The cofactor of n once primes[i:] up to its square root are out.
 
-    Appends (p, e) to factors for each p that divides n. Block 0, or a
-    block that i or count cuts, is tried by one gcd g. From a whole block,
+    flags and primes are one snapshot of the shared sieve. Appends (p, e)
+    to factors for each p that divides n. Block 0, or a block that i or
+    the list's end cuts, is tried by one gcd g. From a whole block,
     each gcd tries the largest tree node that starts there and ends by the
     block holding the square root, or by the last whole block; a node with
     g = 1 is passed, and one that shares a factor is descended, each left
     child tried against g and the right taken when it shares none. The
     tree is read once, and grown at most once, per call. A g that the
-    flags, read after primes, call prime is divided out at once; another
-    is used up by a walk over its block.
+    flags call prime is divided out at once; another is used up by a walk
+    over its block.
     """
-    flags, tree = _cached_flags, _block_tree
+    count, tree = len(primes), _block_tree
     while i < count and primes[i] * primes[i] <= n:
         end = i - i % _BLOCK + _BLOCK
         if i % _BLOCK or end > count:
@@ -212,30 +210,24 @@ def prime_factors(n):
 
     The primes up to isqrt(n) go by gcds: block 0 by one with its constant,
     so n < 137**2 builds no tree, and later blocks by the tree search.
-    If the cached limit covers isqrt(n), a prime n that it covers is
-    answered by its flag, and else the cached list is read once, with no
-    lock: growth publishes the flags, then the primes, then the limit, so
-    a limit read first is covered by the flags and list read after it.
-    Else the sieve doubles while p*p <= the cofactor and ``is_prime`` does
-    not prove it prime below PSI13; what is left is then prime.
+    Flags and primes come from one read of the shared sieve: a prime n
+    inside it is answered by its flag, and else its primes are divided out
+    once. Then, while the cofactor's square root lies past the sieve and
+    ``is_prime`` does not prove it prime below PSI13, the sieve doubles and
+    its new primes are divided out; what is left is then prime or 1.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
+    flags, primes = _shared
+    if n < len(flags) and flags[n]:
+        return ((n, 1),)
     factors = []
-    tried = bound = 0
-    root = math.isqrt(n)
-    if root <= _cached_limit:
-        if n <= _cached_limit and _cached_flags[n]:
-            return ((n, 1),)
-        primes = _cached_primes
-        n, root = _divide_out(n, primes, 0, len(primes), factors), 0
-    while bound < root and (n >= PSI13 or not is_prime(n)):
-        bound = max(2 * bound, _cached_limit, 1 << 10)
-        primes, count = shared_primes(min(bound, root))
-        n = _divide_out(n, primes, tried, count, factors)
-        tried = count
-        if bound < root:  # else the new stop is below bound too
-            root = math.isqrt(n)
+    n = _divide_out(n, flags, primes, 0, factors)
+    while len(flags) ** 2 <= n and (n >= PSI13 or not is_prime(n)):
+        tried = len(primes)
+        # the first limit past the sieve, which shared_primes doubles
+        flags, primes = shared_primes(max(len(flags), 2))
+        n = _divide_out(n, flags, primes, tried, factors)
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
@@ -244,10 +236,11 @@ def prime_factors(n):
 def least_cached_factor(n):
     """n's least prime factor if a cached prime <= isqrt(n) divides n >= 2,
     else None; it grows the sieve no further than its first 1024."""
-    primes, count = shared_primes(min(math.isqrt(n), max(_cached_limit, 1 << 10)))
+    flags, primes = shared_primes(min(math.isqrt(n), 1 << 10))
     factors = []
-    _divide_out(n, primes, 0, count, factors)
-    return factors[0][0] if factors else None
+    _divide_out(n, flags, primes, 0, factors)
+    # A block's gcd may also find a prime past isqrt(n), but not first.
+    return factors[0][0] if factors and factors[0][0] ** 2 <= n else None
 
 
 # k values per class-sieve segment: a small first one keeps an early stop
@@ -288,7 +281,7 @@ def class_segments(classes, limit=None):
     residues = sorted(classes.residues)
     cap = math.inf if limit is None else limit + 1
     # The k values below read have every member's flag in the shared sieve.
-    flags = _cached_flags
+    flags = _shared[0]
     read = max(0, (len(flags) - 1 - residues[-1]) // m + 1)
     # Sieving prime p strikes each k with p | r + k*m from the first member
     # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
@@ -306,7 +299,9 @@ def class_segments(classes, limit=None):
             k1 = min(end, read)
         else:
             k1, flags = end, None  # past the flags: growth may free them
-            primes, count = shared_primes(math.isqrt((k1 - 1) * m + residues[-1]))
+            root = math.isqrt((k1 - 1) * m + residues[-1])
+            primes = shared_primes(root)[1]
+            count = bisect.bisect_right(primes, root)
             for p in itertools.islice(primes, planned, count):
                 inverse = pow(m, -1, p) if m % p else 0  # one per prime
                 for r, plan in zip(residues, plans):

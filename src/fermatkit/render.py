@@ -1,5 +1,6 @@
-"""Text and JSON forms of factorizations, factor traces, candidate classes,
-challenge scans and replay reports: the one place they are written.
+"""Text and JSON forms of factorizations, factor traces, orders, the
+``verify-flt`` sweep's lines, candidate classes, challenge scans and replay
+reports: the one place they are written.
 
 JSON forms write every number as a decimal string (values exceed 64 bits).
 A factor trace or candidate list can run to a million lines, so its text
@@ -97,6 +98,22 @@ def factor_json(n, fact, trace):
                f'      "source": {source},\n      "multiplicity": "{multiplicity}"\n    }}')
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
+def order_text(record):
+    return f"order of {record.base} mod {record.modulus} = {record.order}"
+
+
+def flt_counterexample_text(p, a):
+    return f"counterexample: p={p} a={a}"
+
+
+def order_counterexample_text(p, k):
+    return f"counterexample: order {k} of 2 mod {p} does not divide {p - 1}"
+
+
+def sweep_summary_text(checked, failures):
+    return f"{checked} checks, {failures} counterexamples"
 
 
 def candidates_lines(q, cls, limit, found):

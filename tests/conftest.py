@@ -74,19 +74,29 @@ def trial_division_is_prime(n):
 
 @pytest.fixture
 def cold_sieve(monkeypatch):
-    """An empty sieve cache: no limit, primes or flags, so is_prime takes
-    its strong-test path, and an empty trial-division product tree. The
+    """An empty shared sieve, no flags and no primes, so is_prime takes its
+    strong-test path, and an empty trial-division product tree. The
     fixture's value, called, empties them again."""
     from fermatkit import primes
 
     def empty():
-        monkeypatch.setattr(primes, "_cached_limit", 0)
-        monkeypatch.setattr(primes, "_cached_primes", [])
-        monkeypatch.setattr(primes, "_cached_flags", b"")
+        monkeypatch.setattr(primes, "_shared", (b"", []))
         monkeypatch.setattr(primes, "_block_tree", [[]])
 
     empty()
     return empty
+
+
+def shared_sieve_limit():
+    """The largest n the shared sieve has a flag for, 0 when it is empty."""
+    from fermatkit import primes
+
+    return max(len(primes._shared[0]) - 1, 0)
+
+
+@pytest.fixture
+def sieve_limit():
+    return shared_sieve_limit
 
 
 @pytest.fixture

@@ -195,19 +195,26 @@ class TestVerify:
         assert not verify(Factorization(12, ((2, 2),), COMPLETE, 3))
         assert not verify(Factorization(12, ((2, 2), (3, 1)), PARTIAL, 1))
 
+    def test_rejects_descending_factors(self):
+        assert not verify(Factorization(6, ((3, 1), (2, 1)), COMPLETE))
+
+    def test_rejects_an_unknown_status(self):
+        assert not verify(Factorization(6, ((2, 1), (3, 1)), "unknown"))
+
     def test_partial_verifies(self):
         fact, _ = factor_mersenne(37, budget=223)
         assert verify(fact)
 
-    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, cold_sieve):
+    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, cold_sieve,
+                                                      sieve_limit):
         # 106 of these factors lie past the scan's sieve (4,096 from a cold
         # cache), the largest 67,280,421,310,721; trial division would
         # sieve to its square root.
         exponents = [n for n in range(2, 129) if n != 122]
         facts = [factor_mersenne(n, budget=10**7)[0] for n in exponents]
-        limit = primes._cached_limit
+        limit = sieve_limit()
         assert all(verify(f) for f in facts)
-        assert primes._cached_limit == limit
+        assert sieve_limit() == limit
 
 
 @pytest.fixture

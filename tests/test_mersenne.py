@@ -134,7 +134,8 @@ class TestOrder:
         for q in _prime_divisors(k):
             assert pow(base, k // q, modulus) != 1, q
 
-    def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve):
+    def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve,
+                                           sieve_limit):
         # φ comes only from prime_factors(modulus), which stops at once on a
         # prime below psi_13 that is_prime proves, so only p - 1 is trial
         # divided: from a cold cache the sieve stays at its first 1024 (3
@@ -152,7 +153,7 @@ class TestOrder:
             calls.clear()
             assert pow(2, order(2, p).order, p) == 1
             assert calls == [p, p - 1], p
-            assert primes._cached_limit == (0 if p == 3 else 1024), p
+            assert sieve_limit() == (0 if p == 3 else 1024), p
         for m in (10**12 + 1, 3**60):
             calls.clear()
             order(2, m)
@@ -163,14 +164,14 @@ class TestOrder:
         (10000000000000001963, 5000000000000000981),
     ])
     def test_safe_prime_leaves_the_first_sieve(self, cold_sieve, sieve_ceiling,
-                                               modulus, k):
+                                               sieve_limit, modulus, k):
         # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
         # sympy's n_order. The prime cofactor's root lies past the first
         # sieve (1024), but once is_prime proves it the sieve stops: grown
         # to that root, it would reach 262,144, or about 2 * 10**9.
         sieve_ceiling(1024)
         assert order(3, modulus).order == k
-        assert primes._cached_limit == 1024
+        assert sieve_limit() == 1024
 
     def test_unchanged_for_odd_moduli_to_30000(self, factor_loop):
         # The least k with 2**k = 1 mod m: it divides φ(m), from the
@@ -308,7 +309,9 @@ class TestFirstProposition:
         # root 2**50; the witness needs only the first divisor past 1.
         assert first_proposition_witness(2**100) == (2, 3)
 
-    def test_large_least_divisor(self):
+    def test_large_least_divisor(self, cold_sieve):
+        # From a cold sieve no prime of the first 1024 divides 1000003**2,
+        # so the least divisor comes from the linear search.
         assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
 
     def test_least_divisor_past_the_strong_test_bases(self, cold_sieve):

@@ -80,27 +80,31 @@ class TestIsPrime:
     def test_flag_table_edges(self, cold_sieve, trial_division, growth, size):
         for limit in growth:
             primes_up_to(limit)
-        assert len(primes._cached_flags) == size
+        assert len(primes._shared[0]) == size
         for n in (-2, -1, 0, 1, size - 1, size, size + 1):
             assert is_prime(n) is trial_division(n), n
 
-    def test_flags_newer_than_the_list(
+    def test_a_snapshot_outlives_growth(
         self, cold_sieve, monkeypatch, trial_division, factor_loop
     ):
-        # A reader that took the list before a growth and the flags after
-        # it: each is a complete sieve of its own range, so both stay exact.
-        # Below 1024**2 no call grows the sieve past the old list's 1024;
+        # A reader that took the snapshot of the sieve to 1024 before a
+        # growth to 10**5 still holds its flags and list, unmutated, and the
+        # module holds it no more, so growth can free it. Read again, it
+        # still answers exactly: below 1024**2 no call grows the sieve, and
         # 2..20,000 has composite and prime block gcds, 137 * 139 among them.
-        old = primes.shared_primes(1024)[0]
+        old = primes.shared_primes(1024)
+        copies = bytes(old[0]), list(old[1])
+        held = sys.getrefcount(old)
         primes_up_to(10**5)
-        monkeypatch.setattr(primes, "_cached_limit", 1024)
-        monkeypatch.setattr(primes, "_cached_primes", old)
+        assert len(primes._shared[0]) == 10**5 + 1
+        assert sys.getrefcount(old) == held - 1
+        assert (bytes(old[0]), old[1]) == copies
+        monkeypatch.setattr(primes, "_shared", old)
         for n in range(-2, 10**5 + 2):
             assert is_prime(n) is trial_division(n), n
         for n in range(2, 20000):
             assert prime_factors(n) == factor_loop(n), n
-        assert primes._cached_primes is old
-        assert len(primes._cached_flags) == 10**5 + 1
+        assert primes._shared is old
 
 
 # psi_k: the least strong pseudoprime to the first k prime bases
@@ -277,7 +281,7 @@ def assert_tree_is_block_products():
     higher one against its two children, which by induction is the same
     check at a cost linear in the tree.
     """
-    tree, cached = primes._block_tree, primes._cached_primes
+    tree, cached = primes._block_tree, primes._shared[1]
     assert primes._FIRST_BLOCK == math.prod(cached[:32])
     for j, node in enumerate(tree[0]):
         assert node == math.prod(cached[32 * (j + 1) : 32 * (j + 2)]), j
@@ -341,7 +345,7 @@ class TestPrimeFactors:
         assert prime_factors(n) == factor_loop(n)
         assert len(primes_up_to(isqrt(n))) % 32
 
-    def test_primes_past_the_sieve(self, cold_sieve, factor_loop):
+    def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop):
         # 1031, the first prime past the first sieve (1024), is left as a
         # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which
         # doubles; in 1031 * LARGE_PRIME the cofactor left by a hit in the
@@ -349,7 +353,7 @@ class TestPrimeFactors:
         for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 2048),
                          (4099**2, 8192), (1031 * LARGE_PRIME, 8192)):
             assert prime_factors(n) == factor_loop(n), n
-            assert primes._cached_limit == limit, n
+            assert sieve_limit() == limit, n
 
     def test_smooth_times_prime_below_psi13(self, cold_sieve, sieve_ceiling):
         # n = s * P, s 10**4-smooth and P prime, up to psi_13: the loop ends
@@ -366,7 +370,7 @@ class TestPrimeFactors:
             n = s * sympy.prevprime(rng.randrange(10**4, top))
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
 
-    def test_sieve_grows_as_the_per_prime_loop_grew_it(self, cold_sieve):
+    def test_sieve_grows_as_the_per_prime_loop_grew_it(self, cold_sieve, sieve_limit):
         # From a cold cache, the limits left after each call: the stop
         # still drops after each hit and the sieve doubles, but a cofactor
         # that is_prime proves, LARGE_PRIME or 10**12 - 11, ends the loop
@@ -376,7 +380,7 @@ class TestPrimeFactors:
         limits = [1024, 2048, 2048, 2048, 8192, 8192, 1048576, 1048576]
         for n, limit in zip(calls, limits):
             prime_factors(n)
-            assert primes._cached_limit == limit, n
+            assert sieve_limit() == limit, n
 
     def test_only_prime_factors_builds_block_products(self, cold_sieve):
         primes_up_to(10**6)
@@ -458,13 +462,13 @@ class TestProductTree:
         for n in (q * r, q * q, past, 2 * past, q * past):
             assert prime_factors(n) == factor_loop(n), n
 
-    def test_the_last_cached_prime(self, cold_sieve, factor_loop):
+    def test_the_last_cached_prime(self, cold_sieve, sieve_limit, factor_loop):
         # After the first sieve (1024), the next three take the no-growth
         # path, whose stop is its last prime, 1021; 1021 * 1031 finds 1021
         # in the cache, which drops its stop below the cached limit.
         for n in (4, 1021**2, 1019 * 1021, 2 * 1021**2, 1021 * 1031):
             assert prime_factors(n) == factor_loop(n), n
-            assert primes._cached_limit == 1024, n
+            assert sieve_limit() == 1024, n
 
     def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
         # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd for
@@ -719,10 +723,10 @@ class TestFlagPrefix:
     CUTS += [(cls, 10**4, 5000) for cls in STRIDE_ONE]
 
     @pytest.mark.parametrize("cls,sieve,limit", CUTS)
-    def test_matches_the_walk(self, cold_sieve, class_walk, monkeypatch,
+    def test_matches_the_walk(self, cold_sieve, sieve_limit, class_walk, monkeypatch,
                               cls, sieve, limit):
         primes_up_to(sieve)
-        assert primes._cached_limit == sieve
+        assert sieve_limit() == sieve
         calls = spy_shared_primes(monkeypatch)
         bound = 4 * sieve if limit is None else limit
         walked = itertools.takewhile(lambda p: p <= bound, flatten_segments(cls, limit))
@@ -739,7 +743,7 @@ class TestFlagPrefix:
         ids=["below", "at", "past"])
     def test_sent_stops(self, cold_sieve, class_walk, monkeypatch, stop, sieved_to):
         primes_up_to(299 * 488 + 367)
-        flags = primes._cached_flags
+        flags = primes._shared[0]
         held = sys.getrefcount(flags)
         calls = spy_shared_primes(monkeypatch)
         segments = class_segments(REFINED_61)
@@ -812,10 +816,10 @@ def test_cache_growth_is_consistent():
     assert primes_up_to(100) == small
 
 
-def test_smooth_numbers_leave_the_sieve_small(cold_sieve):
+def test_smooth_numbers_leave_the_sieve_small(cold_sieve, sieve_limit):
     # From a cold cache: 2**44 loses its only prime at once, so nothing
     # past the first sieve (1024) is needed, not isqrt(2**44) = 4,194,304.
     assert prime_factors(2**44) == ((2, 44),)
-    assert primes._cached_limit <= 1024
+    assert sieve_limit() <= 1024
     assert order(3, 2**44).order == 2**42
-    assert primes._cached_limit <= 1024
+    assert sieve_limit() <= 1024
