@@ -11,7 +11,7 @@ order comes from p - 1 (ROADMAP item 5 is the check that can fail).
 from collections import namedtuple
 
 from .kernel import Record, gcd
-from .primes import is_prime, least_cached_factor, prime_factors
+from .primes import is_prime, prime_factors, primes_up_to
 
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
@@ -141,12 +141,16 @@ def second_proposition_check(p):
 def first_proposition_witness(n):
     """(d, M_d) witnessing that a composite exponent gives a composite value.
 
-    d is n's least prime divisor, from the cached primes, else the first of
-    2, 3, ... to divide it; 2**d - 1 then properly divides 2**n - 1.
+    d is n's least prime divisor: the first of the primes up to 1021 to
+    divide n, else the least prime of ``prime_factors(n)``, so the answer
+    does not depend on how far the shared sieve reaches. An n with no such
+    small prime that ``prime_factors`` cannot factor, such as 1000003 times
+    a prime past psi_13, raises ValueError. 2**d - 1 then properly divides
+    2**n - 1.
     """
-    d = least_cached_factor(n) if n >= 4 else None
-    if d is None:
-        if n < 4 or is_prime(n):
-            raise ValueError(f"requires a composite n >= 4, got {n}")
-        d = next(d for d in range(2, n) if n % d == 0)
-    return d, mersenne(d)
+    if n >= 4:
+        small = (p for p in primes_up_to(1021) if n % p == 0)
+        d = next(small, None) or prime_factors(n)[0][0]
+        if d < n:
+            return d, mersenne(d)
+    raise ValueError(f"requires a composite n >= 4, got {n}")

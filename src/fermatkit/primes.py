@@ -2,10 +2,10 @@
 
 One shared sieve backs ``primes_up_to``, ``is_prime``, ``prime_factors``
 and the class sieve: an immutable (flags, primes) snapshot of the sieve's
-flag bytearray and prime list. Growth doubles it until sufficient and
-replaces the snapshot in one assignment under a lock, so a reader that
-takes it once holds one complete sieve. ``is_prime`` never grows it: it
-reads n's flag when n is in range, and otherwise runs strong
+flag bytearray and prime list. Growth doubles it until sufficient, up to
+MAX_SIEVE, and replaces the snapshot in one assignment under a lock, so a
+reader that takes it once holds one complete sieve. ``is_prime`` never
+grows it: it reads n's flag when n is in range, and otherwise runs strong
 probable-prime tests to the first k of the 13 prime bases 2..41, for the
 least k with n < psi_k, the least odd composite that passes the test to
 those k bases. So the test decides primality exactly below PSI13 =
@@ -14,12 +14,14 @@ psi_13. The psi_k are from Pomerance, Selfridge and Wagstaff (Math. Comp.
 and Deng (Math. Comp. 83, 2014) for k = 9..11, and Sorenson and Webster
 (Math. Comp. 86, 2017) for k = 12 and 13.
 
-``prime_factors`` answers a prime n within the sieve by its flag, and
-otherwise tries the sieve's primes in blocks of 32 by gcds: block 0,
-2..131, against a constant, and the blocks from 1 on down a product tree
-(Bernstein, 2004), which only trial division builds, as far as it
-reaches, and replaces under the lock; it grows the sieve only while the
-cofactor is not one that ``is_prime`` proves prime below PSI13.
+``prime_factors`` reads one snapshot and never grows it, save to the
+first 1024 when it is empty. It answers a prime n within the sieve by its
+flag, and otherwise tries the snapshot's primes in blocks of 32 by gcds:
+block 0, 2..131, against a constant, and the blocks from 1 on down a
+product tree (Bernstein, 2004), which only trial division builds, as far
+as it reaches, and replaces under the lock. A cofactor that neither the
+sieve's square nor ``is_prime`` shows prime is split by Brent's rho, with
+a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 reads each residue's progression from the shared sieve's flags as far as
@@ -49,21 +51,27 @@ def _sieve(limit):
 
 _lock = _thread.allocate_lock()
 _shared = (b"", [])  # (flags, primes) of the sieve to len(flags) - 1
+# The largest limit the shared sieve grows to.
+MAX_SIEVE = 1 << 24
 
 
 def shared_primes(limit):
     """The shared sieve's (flags, primes) snapshot, grown to cover limit.
 
     The snapshot is the cache itself, not a copy: callers read it and
-    never mutate it. Growth sieves to at least twice the old limit and
-    replaces the snapshot, never changing an old one, so a snapshot stays
-    valid, and exact over its own range, after the lock is released.
+    never mutate it. Growth sieves to at least twice the old limit, but
+    not past MAX_SIEVE, and replaces the snapshot, never changing an old
+    one, so a snapshot stays valid, and exact over its own range, after the
+    lock is released. A limit past MAX_SIEVE raises ValueError before any
+    sieve is built.
     """
     global _shared
+    if limit > MAX_SIEVE:
+        raise ValueError(f"the prime sieve stops at {MAX_SIEVE}, got {limit}")
     with _lock:
         top = len(_shared[0]) - 1  # the sieve's limit, -1 when empty
         if limit > max(top, 1):
-            _shared = _sieve(max(limit, 2 * top, 1 << 10))
+            _shared = _sieve(min(max(limit, 2 * top, 1 << 10), MAX_SIEVE))
         return _shared
 
 
@@ -147,29 +155,28 @@ def _tree(primes, blocks):
     return tree
 
 
-def _divide_out(n, flags, primes, i, factors):
-    """The cofactor of n once primes[i:] up to its square root are out.
+def _divide_out(n, flags, primes, factors):
+    """The cofactor of n once the primes up to its square root are out.
 
     flags and primes are one snapshot of the shared sieve. Appends (p, e)
-    to factors for each p that divides n. Block 0, or a block that i or
-    the list's end cuts, is tried by one gcd g. From a whole block,
-    each gcd tries the largest tree node that starts there and ends by the
-    block holding the square root, or by the last whole block; a node with
-    g = 1 is passed, and one that shares a factor is descended, each left
-    child tried against g and the right taken when it shares none. The
-    tree is read once, and grown at most once, per call. A g that the
-    flags call prime is divided out at once; another is used up by a walk
-    over its block.
+    to factors for each p that divides n. Block 0 is tried by one gcd g
+    with its constant, and the last block, if the list's end cuts it, by
+    one with its product. From block 1, each gcd tries the largest tree
+    node that starts there and ends by the block holding the square root,
+    or by the last whole block; a node with g = 1 is passed, and one that
+    shares a factor is descended, each left child tried against g and the
+    right taken when it shares none. The tree is read once, and grown at
+    most once, per call. A g that the flags call prime is divided out at
+    once; another is used up by a walk over its block.
     """
-    count, tree = len(primes), _block_tree
+    count, tree, i = len(primes), _block_tree, 0
     while i < count and primes[i] * primes[i] <= n:
-        end = i - i % _BLOCK + _BLOCK
-        if i % _BLOCK or end > count:
-            if end > count:
-                end = count
-            g = math.gcd(n, math.prod(primes[i:end]))
-        elif not i:
+        end = i + _BLOCK
+        if not i:
             g = math.gcd(n, _FIRST_BLOCK)
+        elif end > count:
+            end = count
+            g = math.gcd(n, math.prod(primes[i:end]))
         else:  # tree positions x .. stop - 1 hold blocks x + 1 .. stop
             root = bisect.bisect_right(primes, math.isqrt(n), i, count - count % _BLOCK)
             x, stop = i // _BLOCK - 1, (root - 1) // _BLOCK
@@ -205,42 +212,78 @@ def _divide_out(n, flags, primes, i, factors):
     return n
 
 
-def prime_factors(n):
-    """Ascending (prime, multiplicity) pairs of n >= 2, by trial division.
+# Steps of f(x) = x*x + c that _split takes on one n before it gives up,
+# over all its c: 0.3 to 0.6 s on the 89-bit M89 on a 2-core host. A least
+# prime factor p takes about 0.5 to 5 * sqrt(p) steps, so one below 10**10
+# is found well inside the cap, and one past 10**12 seldom.
+_RHO_STEPS = 1 << 20
 
-    The primes up to isqrt(n) go by gcds: block 0 by one with its constant,
-    so n < 137**2 builds no tree, and later blocks by the tree search.
-    Flags and primes come from one read of the shared sieve: a prime n
-    inside it is answered by its flag, and else its primes are divided out
-    once. Then, while the cofactor's square root lies past the sieve and
-    ``is_prime`` does not prove it prime below PSI13, the sieve doubles and
-    its new primes are divided out; what is left is then prime or 1.
+
+def _split(n):
+    """(d, n // d) for a factor d of the odd composite n, 1 < d < n.
+
+    Brent's form (BIT 20, 1980) of Pollard's rho (BIT 15, 1975): from
+    y = 2 it iterates f(x) = x*x + c mod n, with c = 1, 2, ..., compares
+    y with x, its value at the end of the last round, each round twice as
+    long as the last, and takes one gcd with n per batch of up to 128
+    differences multiplied together. A batch whose gcd is n, which caught
+    every prime of n at once, drops c for the next. Past _RHO_STEPS steps
+    in all it raises ValueError: n is then a prime past PSI13, or a
+    composite whose least prime factor lies out of reach.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n}: it is not proven prime,"
+                                 f" and {_RHO_STEPS} rho steps found no factor")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                q = 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g > 1:
+                    break
+            r *= 2
+        if g < n:
+            return g, n // g
+
+
+def prime_factors(n):
+    """Ascending (prime, multiplicity) pairs of n >= 2.
+
+    Flags and primes come from one read of the shared sieve, which this
+    never grows, save to its first 1024 when it is empty. A prime n inside
+    it is answered by its flag; else the primes up to isqrt(n) go by gcds,
+    block 0 by one with its constant, so n < 137**2 builds no tree, and
+    later blocks by the tree search. What is left has no prime factor in
+    the sieve, so it is prime below len(flags)**2, or where ``is_prime``
+    proves it below PSI13; else ``_split`` splits it in two, and each part
+    is factored in turn. A part that ``_split`` cannot split raises
+    ValueError.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
-    flags, primes = _shared
+    flags, primes = _shared if _shared[1] else shared_primes(1 << 10)
     if n < len(flags) and flags[n]:
         return ((n, 1),)
     factors = []
-    n = _divide_out(n, flags, primes, 0, factors)
-    while len(flags) ** 2 <= n and (n >= PSI13 or not is_prime(n)):
-        tried = len(primes)
-        # the first limit past the sieve, which shared_primes doubles
-        flags, primes = shared_primes(max(len(flags), 2))
-        n = _divide_out(n, flags, primes, tried, factors)
+    n = _divide_out(n, flags, primes, factors)
+    if n >= len(flags) ** 2 and (n >= PSI13 or not is_prime(n)):
+        counts = {}
+        for part in _split(n):
+            for p, e in prime_factors(part):
+                counts[p] = counts.get(p, 0) + e
+        return tuple(factors) + tuple(sorted(counts.items()))
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
-
-
-def least_cached_factor(n):
-    """n's least prime factor if a cached prime <= isqrt(n) divides n >= 2,
-    else None; it grows the sieve no further than its first 1024."""
-    flags, primes = shared_primes(min(math.isqrt(n), 1 << 10))
-    factors = []
-    _divide_out(n, flags, primes, 0, factors)
-    # A block's gcd may also find a prime past isqrt(n), but not first.
-    return factors[0][0] if factors and factors[0][0] ** 2 <= n else None
 
 
 # k values per class-sieve segment: a small first one keeps an early stop

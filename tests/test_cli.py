@@ -81,6 +81,12 @@ class TestVerifyFlt:
         assert code == 0
         assert "0 counterexamples" in out
 
+    def test_max_p_past_the_sieve_ceiling_exits_2(self, capsys):
+        # The sieve refuses the limit before allocating its flags.
+        code, out, err = run(capsys, "verify-flt", "--max-p", "100000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: the prime sieve stops at 16777216, got 100000000000\n"
+
     # Primes 2, 3, 5 and 7 with bases 2 and 3: 6 power-residue checks (2
     # is skipped for p = 2, 3 for p = 3) and 3 order checks (p > 2).
     def test_power_residue_counterexample_exits_1(self, capsys, monkeypatch):

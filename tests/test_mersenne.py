@@ -136,11 +136,12 @@ class TestOrder:
 
     def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve,
                                            sieve_limit):
-        # φ comes only from prime_factors(modulus), which stops at once on a
-        # prime below psi_13 that is_prime proves, so only p - 1 is trial
-        # divided: from a cold cache the sieve stays at its first 1024 (3
-        # and 2 need none). A composite, and any modulus at or past psi_13,
-        # is factored too.
+        # φ comes only from prime_factors(modulus), which stops on a prime
+        # once the first sieve's primes are tried and is_prime proves it
+        # below psi_13, so it is called on p and p - 1 alone: from a cold
+        # cache the first call takes the first sieve, 1024, even for p = 3,
+        # and none grows it. A composite, and any modulus at or past
+        # psi_13, is factored too.
         calls, prime_factors = [], mersenne_module.prime_factors
 
         def counting_factors(n):
@@ -153,7 +154,7 @@ class TestOrder:
             calls.clear()
             assert pow(2, order(2, p).order, p) == 1
             assert calls == [p, p - 1], p
-            assert sieve_limit() == (0 if p == 3 else 1024), p
+            assert sieve_limit() == 1024, p
         for m in (10**12 + 1, 3**60):
             calls.clear()
             order(2, m)
@@ -167,8 +168,8 @@ class TestOrder:
                                                sieve_limit, modulus, k):
         # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
         # sympy's n_order. The prime cofactor's root lies past the first
-        # sieve (1024), but once is_prime proves it the sieve stops: grown
-        # to that root, it would reach 262,144, or about 2 * 10**9.
+        # sieve (1024), but is_prime proves it and the sieve stays there:
+        # grown to that root, it would reach 262,144, or about 2 * 10**9.
         sieve_ceiling(1024)
         assert order(3, modulus).order == k
         assert sieve_limit() == 1024
@@ -311,7 +312,8 @@ class TestFirstProposition:
 
     def test_large_least_divisor(self, cold_sieve):
         # From a cold sieve no prime of the first 1024 divides 1000003**2,
-        # so the least divisor comes from the linear search.
+        # so the least divisor comes from prime_factors, whose rho splits
+        # the square past the first sieve.
         assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
 
     def test_least_divisor_past_the_strong_test_bases(self, cold_sieve):
@@ -319,6 +321,28 @@ class TestFirstProposition:
         # raises; 43 is found among the first sieve's primes first.
         assert 43**16 > PSI13
         assert first_proposition_witness(43**16) == (43, mersenne(43))
+
+    # The least divisor is the same whether the sieve is cold or reaches
+    # 2*10**6: 1000003**5 is split by rho from cold, and 2*M89 is answered
+    # by 2 before M89, a prime past psi_13, is reached.
+    @pytest.mark.parametrize("n,d", [(1000003**5, 1000003), (43**16, 43),
+                                     (2**100, 2), (2 * mersenne(89), 2)],
+                             ids=["1000003**5", "43**16", "2**100", "2*M89"])
+    def test_cold_and_warm_sieves_agree(self, cold_sieve, n, d):
+        cold = first_proposition_witness(n)
+        primes.primes_up_to(2 * 10**6)
+        assert first_proposition_witness(n) == cold
+        assert cold[0] == d and cold[1] == mersenne(d)
+
+    def test_unfactorable_raises_cold_and_warm(self, cold_sieve):
+        # No prime up to 1021 divides 1000003 * M89, and rho cannot split
+        # M89; a sieve past 1000003 does not change that.
+        n = 1000003 * mersenne(89)
+        with pytest.raises(ValueError, match="cannot factor"):
+            first_proposition_witness(n)
+        primes.primes_up_to(2 * 10**6)
+        with pytest.raises(ValueError, match="cannot factor"):
+            first_proposition_witness(n)
 
     def test_prime_and_small_rejected(self):
         with pytest.raises(ValueError):

@@ -347,11 +347,11 @@ class TestPrimeFactors:
 
     def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop):
         # 1031, the first prime past the first sieve (1024), is left as a
-        # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which
-        # doubles; in 1031 * LARGE_PRIME the cofactor left by a hit in the
-        # cached primes is proven prime, so the sieve grows no further.
-        for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 2048),
-                         (4099**2, 8192), (1031 * LARGE_PRIME, 8192)):
+        # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which stays
+        # at 1024, and rho splits them; in 1031 * LARGE_PRIME the cofactor
+        # is proven prime by the strong test, with no split.
+        for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 1024),
+                         (4099**2, 1024), (1031 * LARGE_PRIME, 1024)):
             assert prime_factors(n) == factor_loop(n), n
             assert sieve_limit() == limit, n
 
@@ -370,17 +370,47 @@ class TestPrimeFactors:
             n = s * sympy.prevprime(rng.randrange(10**4, top))
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
 
-    def test_sieve_grows_as_the_per_prime_loop_grew_it(self, cold_sieve, sieve_limit):
-        # From a cold cache, the limits left after each call: the stop
-        # still drops after each hit and the sieve doubles, but a cofactor
-        # that is_prime proves, LARGE_PRIME or 10**12 - 11, ends the loop
-        # before it grows; 999983**2 is no prime and needs the sieve.
+    def test_sieve_stays_at_its_first_1024(self, cold_sieve, sieve_limit):
+        # From a cold cache, the limits left after each call, where the
+        # per-prime loop doubled the sieve to 2048, 8192 and 1048576: the
+        # first call takes the first sieve and no call grows it. A cofactor
+        # that is_prime proves, LARGE_PRIME or 10**12 - 11, is prime; 1031 *
+        # 1033, 4099**2 and 999983**2 are split by rho.
         calls = [2**44, 1031 * 1033, 2 * LARGE_PRIME, 3**27, 4099**2,
                  10**12 - 11, 2**3 * 999983**2, LARGE_PRIME]
-        limits = [1024, 2048, 2048, 2048, 8192, 8192, 1048576, 1048576]
+        limits = [1024] * len(calls)
         for n, limit in zip(calls, limits):
             prime_factors(n)
             assert sieve_limit() == limit, n
+
+    def test_products_past_the_first_sieve(self, cold_sieve, sieve_ceiling,
+                                           sieve_limit):
+        # Products of 2 to 4 primes from 10**4 to 10**10, a prime power past
+        # psi_13, the Fermat number 2**64 + 1 = 274177 * 67280421310721 and
+        # M61 * 3**5, with the sieve held at its first 1024: each piece that
+        # neither its square nor is_prime shows prime is split by rho.
+        # sympy's factorint is the oracle.
+        sympy = pytest.importorskip("sympy")
+        sieve_ceiling(1024)
+        rng = random.Random(19)
+        cases = [1000003**5, 2**64 + 1, (2**61 - 1) * 3**5]
+        for _ in range(60):
+            cases.append(math.prod(
+                sympy.prevprime(rng.randrange(10**4 + 8, 10 ** rng.randrange(5, 11)))
+                for _ in range(rng.randrange(2, 5))))
+        for n in cases:
+            assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
+        assert sieve_limit() == 1024
+
+    @pytest.mark.parametrize("n", [2 * mersenne(89), mersenne(89) ** 2],
+                             ids=["2*M89", "M89**2"])
+    def test_past_the_rho_cap_raises(self, cold_sieve, n):
+        # M89 is a prime past psi_13, which no test here proves: rho finds
+        # no factor of it, or of its square, and stops at its step cap.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot factor"):
+            prime_factors(n)
+        assert time.perf_counter() - start < 5
 
     def test_only_prime_factors_builds_block_products(self, cold_sieve):
         primes_up_to(10**6)
@@ -463,9 +493,9 @@ class TestProductTree:
             assert prime_factors(n) == factor_loop(n), n
 
     def test_the_last_cached_prime(self, cold_sieve, sieve_limit, factor_loop):
-        # After the first sieve (1024), the next three take the no-growth
-        # path, whose stop is its last prime, 1021; 1021 * 1031 finds 1021
-        # in the cache, which drops its stop below the cached limit.
+        # After the first sieve (1024), the next three stop at its last
+        # prime, 1021; 1021 * 1031 finds 1021 in the cache, which drops its
+        # stop below the cached limit.
         for n in (4, 1021**2, 1019 * 1021, 2 * 1021**2, 1021 * 1031):
             assert prime_factors(n) == factor_loop(n), n
             assert sieve_limit() == 1024, n
@@ -807,6 +837,22 @@ def test_sent_stops_move_only_where_segments_end(cold_sieve, class_walk):
         assert [p for p in flat if p <= bound] == list(class_walk(cls, bound))
 
     check()
+
+
+def test_the_sieve_stops_at_its_ceiling(cold_sieve, sieve_limit, monkeypatch):
+    # Past MAX_SIEVE nothing is sieved; below it growth doubles, but no
+    # further than MAX_SIEVE, here lowered to 3000.
+    with pytest.raises(ValueError, match="stops at"):
+        primes_up_to(primes.MAX_SIEVE + 1)
+    assert sieve_limit() == 0
+    monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
+    primes_up_to(2000)
+    primes_up_to(2001)
+    assert sieve_limit() == 3000
+    assert primes_up_to(3000) == [p for p in range(3001) if brute_is_prime(p)]
+    with pytest.raises(ValueError, match="stops at 3000, got 3001"):
+        primes_up_to(3001)
+    assert sieve_limit() == 3000
 
 
 def test_cache_growth_is_consistent():
