@@ -2,35 +2,37 @@
 
 One shared sieve backs ``primes_up_to``, ``is_prime``, ``prime_factors``
 and the class sieve: an immutable (flags, primes) snapshot of the sieve's
-flag bytearray and prime list. Growth doubles it until sufficient, up to
-MAX_SIEVE, and replaces the snapshot in one assignment under a lock, so a
-reader that takes it once holds one complete sieve. ``is_prime`` never
-grows it: it reads n's flag when n is in range, and otherwise runs strong
-probable-prime tests to the first k of the 13 prime bases 2..41, for the
-least k with n < psi_k, the least odd composite that passes the test to
-those k bases. So the test decides primality exactly below PSI13 =
-psi_13. The psi_k are from Pomerance, Selfridge and Wagstaff (Math. Comp.
-35, 1980) for k <= 4, Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang
-and Deng (Math. Comp. 83, 2014) for k = 9..11, and Sorenson and Webster
-(Math. Comp. 86, 2017) for k = 12 and 13.
+flag bytearray and prime list. The first sieve covers BASE = 2**16;
+growth doubles it until sufficient, up to MAX_SIEVE, and replaces the
+snapshot in one assignment under a lock, so a reader that takes it once
+holds one complete sieve. ``is_prime`` never grows it: it reads n's flag
+when n is in range, and otherwise runs strong probable-prime tests to
+the first k of the 13 prime bases 2..41, for the least k with n < psi_k,
+the least odd composite that passes the test to those k bases. So the
+test decides primality exactly below PSI13 = psi_13. The psi_k are from
+Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) for k <= 4,
+Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang and Deng (Math.
+Comp. 83, 2014) for k = 9..11, and Sorenson and Webster (Math. Comp. 86,
+2017) for k = 12 and 13.
 
 ``prime_factors`` reads one snapshot and never grows it, save to the
-first 1024 when it is empty. It answers a prime n within the sieve by its
-flag, and otherwise tries the snapshot's primes in blocks of 32 by gcds:
-block 0, 2..131, against a constant, and the blocks from 1 on down a
-product tree (Bernstein, 2004), which only trial division builds, as far
-as it reaches, and replaces under the lock. A cofactor that neither the
-sieve's square nor ``is_prime`` shows prime is split by Brent's rho, with
-a step cap past which the caller gets ValueError.
+first sieve when it is empty. It answers a prime n within the sieve by
+its flag, and otherwise tries the snapshot's primes up to BASE, never
+more, in blocks of 32 by gcds: block 0, 2..131, against a constant, and
+the blocks from 1 on down a product tree (Bernstein, 2004) of at most 203
+blocks, which only trial division builds, as far as it reaches, and
+replaces under the lock. A cofactor that neither the square of the primes
+tried nor ``is_prime`` shows prime is split by Brent's rho, with a step
+cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 reads each residue's progression from the shared sieve's flags as far as
-they reach when the walk starts, then sieves it a segment at a time, and
-merges the residues; a scan sends it where the scan stops. Segments grow
-8x from 64 k values up to a cap, and each sieving prime carries a
-running offset, the next member it strikes, from segment to segment
-(the segmented sieve for arithmetic progressions of Bays and Hudson,
-BIT 17, 1977). ``primes_in_classes`` flattens it.
+they reach when the walk starts, to BASE at least, then sieves it a
+segment at a time, and merges the residues; a scan sends it where the
+scan stops. Segments grow 8x from 64 k values up to a cap, and each
+sieving prime carries a running offset, the next member it strikes, from
+segment to segment (the segmented sieve for arithmetic progressions of
+Bays and Hudson, BIT 17, 1977). ``primes_in_classes`` flattens it.
 """
 
 import _thread
@@ -40,30 +42,39 @@ import math
 
 
 def _sieve(limit):
-    """Sieve of Eratosthenes: (flags, primes), flags[n] = 1 iff n is prime."""
+    """Sieve of Eratosthenes to limit >= 2: (flags, primes), flags[n] = 1
+    iff n is prime. Past the even numbers, each odd prime strikes only its
+    odd multiples, and the list after 2 is read from the odd flags."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+    flags[4::2] = bytes(len(range(4, limit + 1, 2)))
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return flags, list(itertools.compress(range(limit + 1), flags))
+            flags[p * p :: 2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+    return flags, [2, *itertools.compress(range(3, limit + 1, 2), flags[3::2])]
 
 
 _lock = _thread.allocate_lock()
 _shared = (b"", [])  # (flags, primes) of the sieve to len(flags) - 1
 # The largest limit the shared sieve grows to.
 MAX_SIEVE = 1 << 24
+# The first sieve's limit, and trial division's ceiling: prime_factors
+# tries the _BASE_COUNT = pi(BASE) primes up to BASE, and no more, so a
+# cofactor they leave is prime below the square of the next, 65537.
+BASE = 1 << 16
+_BASE_COUNT = 6542
+_BASE_SQUARE = (BASE + 1) ** 2
 
 
 def shared_primes(limit):
     """The shared sieve's (flags, primes) snapshot, grown to cover limit.
 
     The snapshot is the cache itself, not a copy: callers read it and
-    never mutate it. Growth sieves to at least twice the old limit, but
-    not past MAX_SIEVE, and replaces the snapshot, never changing an old
-    one, so a snapshot stays valid, and exact over its own range, after the
-    lock is released. A limit past MAX_SIEVE raises ValueError before any
-    sieve is built.
+    never mutate it. Growth sieves to at least twice the old limit, and
+    to BASE, but not past MAX_SIEVE, and replaces the snapshot, never
+    changing an old one, so a snapshot stays valid, and exact over its
+    own range, after the lock is released. A limit past MAX_SIEVE raises
+    ValueError before any sieve is built.
     """
     global _shared
     if limit > MAX_SIEVE:
@@ -71,7 +82,7 @@ def shared_primes(limit):
     with _lock:
         top = len(_shared[0]) - 1  # the sieve's limit, -1 when empty
         if limit > max(top, 1):
-            _shared = _sieve(min(max(limit, 2 * top, 1 << 10), MAX_SIEVE))
+            _shared = _sieve(min(max(limit, 2 * top, BASE), MAX_SIEVE))
         return _shared
 
 
@@ -156,20 +167,23 @@ def _tree(primes, blocks):
 
 
 def _divide_out(n, flags, primes, factors):
-    """The cofactor of n once the primes up to its square root are out.
+    """The cofactor of n once the primes up to min(isqrt(n), BASE) are out.
 
-    flags and primes are one snapshot of the shared sieve. Appends (p, e)
-    to factors for each p that divides n. Block 0 is tried by one gcd g
-    with its constant, and the last block, if the list's end cuts it, by
-    one with its product. From block 1, each gcd tries the largest tree
-    node that starts there and ends by the block holding the square root,
-    or by the last whole block; a node with g = 1 is passed, and one that
-    shares a factor is descended, each left child tried against g and the
-    right taken when it shares none. The tree is read once, and grown at
-    most once, per call. A g that the flags call prime is divided out at
-    once; another is used up by a walk over its block.
+    flags and primes are one snapshot of the shared sieve, of which only
+    the first _BASE_COUNT primes are tried. Appends (p, e) to factors for
+    each p that divides n. Block 0 is tried by one gcd g with its constant,
+    and the last block, if the primes tried end inside it, by one with its
+    product. From block 1, each gcd tries the largest tree node that starts
+    there and ends by the block holding the square root, or by the last
+    whole block; a node with g = 1 is passed, and one that shares a factor
+    is descended, each left child tried against g and the right taken when
+    it shares none. The tree is read once, and grown at most once, per
+    call. A g that the flags call prime is divided out at once; another is
+    used up by a walk over its block.
     """
     count, tree, i = len(primes), _block_tree, 0
+    if count > _BASE_COUNT:  # an if, not min(), on the common path
+        count = _BASE_COUNT
     while i < count and primes[i] * primes[i] <= n:
         end = i + _BLOCK
         if not i:
@@ -259,27 +273,29 @@ def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2.
 
     Flags and primes come from one read of the shared sieve, which this
-    never grows, save to its first 1024 when it is empty. A prime n inside
-    it is answered by its flag; else the primes up to isqrt(n) go by gcds,
-    block 0 by one with its constant, so n < 137**2 builds no tree, and
-    later blocks by the tree search. What is left has no prime factor in
-    the sieve, so it is prime below len(flags)**2, or where ``is_prime``
-    proves it below PSI13; else ``_split`` splits it in two, and each part
-    is factored in turn. A part that ``_split`` cannot split raises
-    ValueError.
+    never grows, save to the first sieve when it is empty. A prime n
+    inside it is answered by its flag; else the primes up to isqrt(n) and
+    BASE go by gcds, block 0 by one with its constant, so n < 137**2
+    builds no tree, and later blocks by the tree search. What is left has
+    no prime factor tried, so it is prime below both len(flags)**2 and
+    65537**2, or where ``is_prime`` proves it below PSI13; else ``_split``
+    splits it, and each part ``is_prime`` does not prove, until all are
+    proven. A part that ``_split`` cannot split raises ValueError.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
-    flags, primes = _shared if _shared[1] else shared_primes(1 << 10)
+    flags, primes = _shared if _shared[1] else shared_primes(min(BASE, MAX_SIEVE))
     if n < len(flags) and flags[n]:
         return ((n, 1),)
     factors = []
     n = _divide_out(n, flags, primes, factors)
-    if n >= len(flags) ** 2 and (n >= PSI13 or not is_prime(n)):
-        counts = {}
-        for part in _split(n):
-            for p, e in prime_factors(part):
-                counts[p] = counts.get(p, 0) + e
+    if (n >= _BASE_SQUARE or n >= len(flags) ** 2) and (n >= PSI13 or not is_prime(n)):
+        counts, parts = {}, list(_split(n))
+        for part in parts:  # no part has a prime factor that was tried
+            if part < PSI13 and is_prime(part):
+                counts[part] = counts.get(part, 0) + 1
+            else:
+                parts += _split(part)
         return tuple(factors) + tuple(sorted(counts.items()))
     if n > 1:
         factors.append((n, 1))
@@ -298,14 +314,15 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each residue r is its own progression r + k*m. Up to the last k whose
-    members all have flags in the shared sieve when the walk starts, a
-    segment is read from those flags by a strided slice; past it, it is
-    sieved, and each sieving prime strikes one progression of k in it.
-    The segment's per-residue lists are merged. The walk stops past
-    limit, if any. Each residue keeps its own plan entry per sieving
-    prime: the library's classes have one or two residues, but the 480
-    units mod 2310 take about 2.3 s to 10**8 on a 2-core host.
+    Each residue r is its own progression r + k*m. The walk starts with
+    one ``shared_primes(BASE)`` call, so every member up to BASE has a
+    flag. Up to the last k whose members all have flags then, a segment
+    is read from them by a strided slice; past it, it is sieved, and each
+    sieving prime strikes one progression of k in it. The segment's
+    per-residue lists are merged. The walk stops past limit, if any. Each
+    residue keeps its own plan entry per sieving prime: the library's
+    classes have one or two residues, but the 480 units mod 2310 take
+    about 2.3 s to 10**8 on a 2-core host.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it,
@@ -324,7 +341,7 @@ def class_segments(classes, limit=None):
     residues = sorted(classes.residues)
     cap = math.inf if limit is None else limit + 1
     # The k values below read have every member's flag in the shared sieve.
-    flags = _shared[0]
+    flags = shared_primes(min(BASE, MAX_SIEVE))[0]
     read = max(0, (len(flags) - 1 - residues[-1]) // m + 1)
     # Sieving prime p strikes each k with p | r + k*m from the first member
     # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If

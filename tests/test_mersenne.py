@@ -139,8 +139,8 @@ class TestOrder:
         # φ comes only from prime_factors(modulus), which stops on a prime
         # once the first sieve's primes are tried and is_prime proves it
         # below psi_13, so it is called on p and p - 1 alone: from a cold
-        # cache the first call takes the first sieve, 1024, even for p = 3,
-        # and none grows it. A composite, and any modulus at or past
+        # cache the first call takes the first sieve, to BASE = 2**16, even
+        # for p = 3, and none grows it. A composite, and any modulus at or past
         # psi_13, is factored too.
         calls, prime_factors = [], mersenne_module.prime_factors
 
@@ -154,7 +154,7 @@ class TestOrder:
             calls.clear()
             assert pow(2, order(2, p).order, p) == 1
             assert calls == [p, p - 1], p
-            assert sieve_limit() == 1024, p
+            assert sieve_limit() == primes.BASE, p
         for m in (10**12 + 1, 3**60):
             calls.clear()
             order(2, m)
@@ -168,11 +168,12 @@ class TestOrder:
                                                sieve_limit, modulus, k):
         # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
         # sympy's n_order. The prime cofactor's root lies past the first
-        # sieve (1024), but is_prime proves it and the sieve stays there:
-        # grown to that root, it would reach 262,144, or about 2 * 10**9.
-        sieve_ceiling(1024)
+        # sieve (BASE = 2**16), but is_prime proves it and the sieve stays
+        # there: grown to that root, it would reach 262,144, or about
+        # 2 * 10**9.
+        sieve_ceiling(primes.BASE)
         assert order(3, modulus).order == k
-        assert sieve_limit() == 1024
+        assert sieve_limit() == primes.BASE
 
     def test_unchanged_for_odd_moduli_to_30000(self, factor_loop):
         # The least k with 2**k = 1 mod m: it divides φ(m), from the
@@ -311,9 +312,9 @@ class TestFirstProposition:
         assert first_proposition_witness(2**100) == (2, 3)
 
     def test_large_least_divisor(self, cold_sieve):
-        # From a cold sieve no prime of the first 1024 divides 1000003**2,
-        # so the least divisor comes from prime_factors, whose rho splits
-        # the square past the first sieve.
+        # From a cold sieve no prime up to 1021 divides 1000003**2, so the
+        # least divisor comes from prime_factors, whose rho splits the
+        # square past the first sieve.
         assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
 
     def test_least_divisor_past_the_strong_test_bases(self, cold_sieve):

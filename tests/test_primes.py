@@ -35,6 +35,22 @@ def brute_is_prime(n):
     return all(n % d for d in range(2, n))
 
 
+@pytest.fixture
+def first_sieve_1024(monkeypatch):
+    """The first sieve at 1024, not BASE: growth and the walks' flag reads
+    are the same code whatever the first sieve's limit, and a table that
+    ends below 2**16 puts its edges and cuts where these tests need them."""
+    monkeypatch.setattr(primes, "BASE", 1 << 10)
+
+
+def spy_split(monkeypatch):
+    """The list of numbers _split is called on from here on."""
+    calls = []
+    split = primes._split
+    monkeypatch.setattr(primes, "_split", lambda n: calls.append(n) or split(n))
+    return calls
+
+
 class TestSieve:
     def test_textbook_base_case(self):
         assert primes_up_to(10) == [2, 3, 5, 7]
@@ -55,6 +71,25 @@ class TestSieve:
         assert 97 in primes
         assert 91 not in primes
 
+    @pytest.mark.parametrize("limit", [*range(2, 301), 1 << 16])
+    def test_odd_only_sieve_is_exact(self, oracle_primes, limit):
+        # Flags and list from the odd flags alone, after 2, against this
+        # suite's own sieve; limits 2 and 3 have no odd composite.
+        expected = [p for p in oracle_primes(17) if p <= limit]
+        flags, found = primes._sieve(limit)
+        assert found == expected
+        members = set(expected)
+        assert flags == bytearray(n in members for n in range(limit + 1))
+
+    def test_the_base_holds_pi_base_primes(self, oracle_primes):
+        # _BASE_COUNT is pi(2**16), so prime_factors needs no bisect to
+        # stop at BASE; 65521 is the last prime it tries, and a cofactor
+        # with no prime up to it is prime below the square of the next.
+        assert primes.BASE == 1 << 16
+        assert primes._BASE_COUNT == len(oracle_primes(16)) == 6542
+        assert primes_up_to(primes.BASE)[primes._BASE_COUNT - 1 :] == [65521]
+        assert primes._BASE_SQUARE == oracle_primes(17)[6542] ** 2 == 65537**2
+
 
 class TestIsPrime:
     def test_complementary_factor(self):
@@ -72,31 +107,48 @@ class TestIsPrime:
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
 
-    # Sieves grown from cold and the flag table each leaves: 1031 is prime,
-    # so one side of the table's end holds it; 1030 then 1031 doubles.
+    # Sieves grown from cold, with the first sieve at 1024, and the flag
+    # table each leaves: 1031 is prime, so one side of the table's end
+    # holds it; 1030 then 1031 doubles.
     @pytest.mark.parametrize("growth,size", [
         ((), 0), ((1030,), 1031), ((1031,), 1032), ((1030, 1031), 2061),
         ((4099,), 4100)])
-    def test_flag_table_edges(self, cold_sieve, trial_division, growth, size):
+    def test_flag_table_edges(self, cold_sieve, first_sieve_1024, trial_division,
+                              growth, size):
         for limit in growth:
             primes_up_to(limit)
         assert len(primes._shared[0]) == size
         for n in (-2, -1, 0, 1, size - 1, size, size + 1):
             assert is_prime(n) is trial_division(n), n
 
+    # The same at BASE = 2**16: any limit up to it takes the first sieve,
+    # which ends between the primes 65521 and 65537, and the next limit
+    # past it doubles.
+    @pytest.mark.parametrize("growth,size", [
+        ((2,), 65537), ((1030,), 65537), ((65536, 65537), 131073),
+        ((65538,), 65539), ((300000,), 300001)])
+    def test_flag_table_edges_past_the_base(self, cold_sieve, trial_division,
+                                            growth, size):
+        for limit in growth:
+            primes_up_to(limit)
+        assert len(primes._shared[0]) == size
+        for n in (-2, -1, 0, 1, 65521, 65537, size - 1, size, size + 1):
+            assert is_prime(n) is trial_division(n), n
+
     def test_a_snapshot_outlives_growth(
         self, cold_sieve, monkeypatch, trial_division, factor_loop
     ):
-        # A reader that took the snapshot of the sieve to 1024 before a
-        # growth to 10**5 still holds its flags and list, unmutated, and the
-        # module holds it no more, so growth can free it. Read again, it
-        # still answers exactly: below 1024**2 no call grows the sieve, and
+        # A reader that took the snapshot of the first sieve, to BASE,
+        # before a growth that doubles it still holds its flags and list,
+        # unmutated, and the module holds it no more, so growth can free it.
+        # Read again, it still answers exactly: no call grows the sieve, and
         # 2..20,000 has composite and prime block gcds, 137 * 139 among them.
         old = primes.shared_primes(1024)
+        assert len(old[0]) == primes.BASE + 1
         copies = bytes(old[0]), list(old[1])
         held = sys.getrefcount(old)
         primes_up_to(10**5)
-        assert len(primes._shared[0]) == 10**5 + 1
+        assert len(primes._shared[0]) == 2 * primes.BASE + 1
         assert sys.getrefcount(old) == held - 1
         assert (bytes(old[0]), old[1]) == copies
         monkeypatch.setattr(primes, "_shared", old)
@@ -345,15 +397,20 @@ class TestPrimeFactors:
         assert prime_factors(n) == factor_loop(n)
         assert len(primes_up_to(isqrt(n))) % 32
 
-    def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop):
-        # 1031, the first prime past the first sieve (1024), is left as a
-        # cofactor; 1031 * 1033 and 4099**2 stop past the sieve, which stays
-        # at 1024, and rho splits them; in 1031 * LARGE_PRIME the cofactor
-        # is proven prime by the strong test, with no split.
-        for n, limit in ((2**10 * 1031, 1024), (1031 * 1033, 1024),
-                         (4099**2, 1024), (1031 * LARGE_PRIME, 1024)):
+    def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop,
+                                   monkeypatch):
+        # 65537, the first prime past the first sieve (BASE = 2**16), is left
+        # as a cofactor; 65537 * 65539, 262147**2 and 65537 * LARGE_PRIME
+        # stop past the sieve, which stays at BASE, and rho splits them; in
+        # 3 * (10**12 - 11) the cofactor is proven prime by the strong test,
+        # with no split.
+        split = spy_split(monkeypatch)
+        for n, splits in ((2**16 * 65537, 0), (65537 * 65539, 1), (262147**2, 1),
+                          (65537 * LARGE_PRIME, 1), (3 * (10**12 - 11), 0)):
+            split.clear()
             assert prime_factors(n) == factor_loop(n), n
-            assert sieve_limit() == limit, n
+            assert sieve_limit() == primes.BASE, n
+            assert len(split) == splits, n
 
     def test_smooth_times_prime_below_psi13(self, cold_sieve, sieve_ceiling):
         # n = s * P, s 10**4-smooth and P prime, up to psi_13: the loop ends
@@ -370,37 +427,88 @@ class TestPrimeFactors:
             n = s * sympy.prevprime(rng.randrange(10**4, top))
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
 
-    def test_sieve_stays_at_its_first_1024(self, cold_sieve, sieve_limit):
+    def test_sieve_stays_at_its_first_sieve(self, cold_sieve, sieve_limit,
+                                            monkeypatch):
         # From a cold cache, the limits left after each call, where the
-        # per-prime loop doubled the sieve to 2048, 8192 and 1048576: the
-        # first call takes the first sieve and no call grows it. A cofactor
-        # that is_prime proves, LARGE_PRIME or 10**12 - 11, is prime; 1031 *
-        # 1033, 4099**2 and 999983**2 are split by rho.
-        calls = [2**44, 1031 * 1033, 2 * LARGE_PRIME, 3**27, 4099**2,
+        # per-prime loop doubled the sieve to 2**18 and 2**20: the first
+        # call takes the first sieve, to BASE, and no call grows it. A
+        # cofactor that is_prime proves, LARGE_PRIME or 10**12 - 11, is
+        # prime; 65537 * 65539, 262147**2 and 999983**2 are split by rho.
+        split = spy_split(monkeypatch)
+        calls = [2**44, 65537 * 65539, 2 * LARGE_PRIME, 3**27, 262147**2,
                  10**12 - 11, 2**3 * 999983**2, LARGE_PRIME]
-        limits = [1024] * len(calls)
-        for n, limit in zip(calls, limits):
+        for n in calls:
             prime_factors(n)
-            assert sieve_limit() == limit, n
+            assert sieve_limit() == primes.BASE, n
+        assert split == [65537 * 65539, 262147**2, 999983**2]
 
     def test_products_past_the_first_sieve(self, cold_sieve, sieve_ceiling,
-                                           sieve_limit):
-        # Products of 2 to 4 primes from 10**4 to 10**10, a prime power past
+                                           sieve_limit, monkeypatch):
+        # Products of 2 to 4 primes from 2**16 to 10**10, a prime power past
         # psi_13, the Fermat number 2**64 + 1 = 274177 * 67280421310721 and
-        # M61 * 3**5, with the sieve held at its first 1024: each piece that
-        # neither its square nor is_prime shows prime is split by rho.
-        # sympy's factorint is the oracle.
+        # M61 * 3**5, with the sieve held at its first, to BASE: each piece
+        # that neither the square of the primes tried nor is_prime shows
+        # prime is split by rho. sympy's factorint is the oracle.
         sympy = pytest.importorskip("sympy")
-        sieve_ceiling(1024)
+        sieve_ceiling(primes.BASE)
+        split = spy_split(monkeypatch)
         rng = random.Random(19)
         cases = [1000003**5, 2**64 + 1, (2**61 - 1) * 3**5]
         for _ in range(60):
             cases.append(math.prod(
-                sympy.prevprime(rng.randrange(10**4 + 8, 10 ** rng.randrange(5, 11)))
+                sympy.prevprime(rng.randrange(2**16 + 8, 10 ** rng.randrange(5, 11)))
                 for _ in range(rng.randrange(2, 5))))
         for n in cases:
+            split.clear()
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
-        assert sieve_limit() == 1024
+            assert split or n == (2**61 - 1) * 3**5, n
+        assert sieve_limit() == primes.BASE
+
+    @pytest.mark.parametrize("sieve", ["base", "lowered", "grown"])
+    def test_matches_trial_division_at_the_ceiling(self, cold_sieve, monkeypatch,
+                                                   factor_loop, sieve):
+        # Squares and products of the primes on each side of BASE, and
+        # 2**32 + k, near 65537**2, where a cofactor stops being prime
+        # without a test: exact with the first sieve, with MAX_SIEVE
+        # lowered to 3000, whose smaller snapshot lowers that bound to
+        # 3001**2, and with a sieve grown to 2**20, which trial division
+        # still reads only to BASE.
+        if sieve == "lowered":
+            monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
+        limit = {"base": primes.BASE, "lowered": 3000, "grown": 1 << 20}[sieve]
+        primes_up_to(limit)
+        cases = [65521**2, 65537**2, 65521 * 65537, 65537 * 65539,
+                 65519 * 65521 * 65537, 2 * 65537**2, *range(2**32 - 40, 2**32 + 41)]
+        for n in cases:
+            assert prime_factors(n) == factor_loop(n), n
+        assert len(primes._shared[0]) == limit + 1
+
+    def test_trial_division_stops_at_the_base(self, cold_sieve, monkeypatch):
+        # From a snapshot to 2**20, 2 * (10**17 + 3) tries the primes up to
+        # BASE alone, in a tree of at most 204 blocks and 8 levels, before
+        # the strong test proves the cofactor prime; a tree over the whole
+        # snapshot would hold 2,555 blocks.
+        primes_up_to(1 << 20)
+        split = spy_split(monkeypatch)
+        start = time.perf_counter()
+        assert prime_factors(2 * (10**17 + 3)) == ((2, 1), (10**17 + 3, 1))
+        assert time.perf_counter() - start < 1
+        assert len(primes._block_tree[0]) <= 204 and len(primes._block_tree) <= 8
+        assert split == []
+        assert_tree_is_block_products()
+
+    def test_rho_parts_are_not_trial_divided(self, cold_sieve, monkeypatch):
+        # Neither part of a split has a prime that was tried, so each goes
+        # straight to is_prime, and on to _split if it is not proven prime.
+        calls, divide_out = [], primes._divide_out
+        monkeypatch.setattr(primes, "_divide_out",
+                            lambda n, *rest: calls.append(n) or divide_out(n, *rest))
+        split = spy_split(monkeypatch)
+        assert prime_factors(1000003 * 1000033) == ((1000003, 1), (1000033, 1))
+        assert calls == split == [1000003 * 1000033]
+        calls.clear()
+        assert prime_factors(65537**3 * 65539) == ((65537, 3), (65539, 1))
+        assert calls == [65537**3 * 65539] and len(split) > 2
 
     @pytest.mark.parametrize("n", [2 * mersenne(89), mersenne(89) ** 2],
                              ids=["2*M89", "M89**2"])
@@ -493,12 +601,12 @@ class TestProductTree:
             assert prime_factors(n) == factor_loop(n), n
 
     def test_the_last_cached_prime(self, cold_sieve, sieve_limit, factor_loop):
-        # After the first sieve (1024), the next three stop at its last
-        # prime, 1021; 1021 * 1031 finds 1021 in the cache, which drops its
-        # stop below the cached limit.
-        for n in (4, 1021**2, 1019 * 1021, 2 * 1021**2, 1021 * 1031):
+        # After the first sieve (BASE = 2**16), the next three stop at its
+        # last prime, 65521; 65521 * 65537 finds 65521 in the cache, which
+        # drops its stop below the cached limit.
+        for n in (4, 65521**2, 65519 * 65521, 2 * 65521**2, 65521 * 65537):
             assert prime_factors(n) == factor_loop(n), n
-            assert sieve_limit() == 1024, n
+            assert sieve_limit() == primes.BASE, n
 
     def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
         # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd for
@@ -697,16 +805,38 @@ class TestClassSegments:
     def test_many_residues_cross_every_segment_size(self, cold_sieve, oracle_primes):
         # The 48 units mod 210 and 7, which shares 7 with the modulus and
         # so takes stride-1 entries: to 10**6, k reaches 4,761, past the
-        # segments of 64, 512 and 4,096 k values into the fourth.
+        # segments of 64, 512 and 4,096 k values into the fourth. The first
+        # sieve's flags give k < 312, so the second segment is cut there,
+        # and the sieve starts inside it and crosses the next two ends.
         units = {r for r in range(210) if math.gcd(r, 210) == 1}
         cls = CandidateClass(210, frozenset(units | {7}), 2)
         segments = list(class_segments(cls, 10**6))
-        assert len(segments) == 4
+        assert (primes.BASE - 209) // 210 + 1 == 312
+        assert len(segments) == 5
         assert all(segment == sorted(segment) for segment in segments)
         expected = [p for p in oracle_primes(20)
                     if p <= 10**6 and p % 210 in cls.residues]
         assert expected[:2] == [7, 11]
         assert list(itertools.chain.from_iterable(segments)) == expected
+
+    # Every residue mod 210 has a member up to BASE at k = 311, whose last
+    # member is 65519, but not at k = 312.
+    @pytest.mark.parametrize("cls,limit", [
+        (euler_refined_class(31), 1 << 16), (generalized_class(2), 1 << 16),
+        (CandidateClass(210, frozenset(range(210)), 2), 311 * 210 + 209)],
+        ids=["refined-31", "generalized-2", "all-mod-210"])
+    def test_walks_below_the_base_strike_nothing(self, cold_sieve, sieve_limit,
+                                                 class_walk, monkeypatch, cls, limit):
+        # From a cold cache a walk takes the first sieve, to BASE, and reads
+        # every member up to it from the flags: no sieving prime is planned,
+        # which would take an inverse of the modulus, and none strikes.
+        calls = spy_shared_primes(monkeypatch)
+        inverses = []
+        monkeypatch.setattr(primes, "pow",
+                            lambda *a: inverses.append(a) or pow(*a), raising=False)
+        assert primes_in_classes(limit, cls) == list(class_walk(cls, limit))
+        assert calls == [primes.BASE] and inverses == []
+        assert sieve_limit() == primes.BASE
 
     @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
                              ids=["refined-61", "generalized-116"])
@@ -740,12 +870,14 @@ STRIDE_ONE = (CandidateClass(2, frozenset({0, 1}), 2),
 
 
 class TestFlagPrefix:
-    # (class, sieve limit, walk limit): the k values whose members all
-    # have flags end inside the first segment of 64 k values (at 10), at
-    # the ends of the first and second (64, 576), between the two residues
-    # of k = 100, or past the walk's limit. For the stride-1 classes a
-    # sieve to 1024 ends them at k = 512, 170 and 102, in the second
-    # segment, and one to 10**4 + 7 at 5,004, 1,668 and 1,001.
+    # (class, sieve limit, walk limit), with the first sieve at 1024: the
+    # k values whose members all have flags end inside the first segment
+    # of 64 k values (at 10), at the ends of the first and second (64,
+    # 576), between the two residues of k = 100, or past the walk's limit.
+    # For the stride-1 classes a sieve to 1024 ends them at k = 512, 170
+    # and 102, in the second segment, and one to 10**4 + 7 at 5,004, 1,668
+    # and 1,001. At BASE = 2**16 the sieve to 65536 ends refined-61's at
+    # k = 134, in the second segment.
     CUTS = [(REFINED_61, 5000, None), (REFINED_61, 63 * 488 + 367, None),
             (REFINED_61, 575 * 488 + 367, None), (REFINED_61, 100 * 488 + 100, None),
             (REFINED_61, 50000, 10**4), (REFINED_61, 50000, 10**6)]
@@ -753,16 +885,28 @@ class TestFlagPrefix:
     CUTS += [(cls, 10**4, 5000) for cls in STRIDE_ONE]
 
     @pytest.mark.parametrize("cls,sieve,limit", CUTS)
-    def test_matches_the_walk(self, cold_sieve, sieve_limit, class_walk, monkeypatch,
-                              cls, sieve, limit):
+    def test_matches_the_walk(self, cold_sieve, first_sieve_1024, sieve_limit,
+                              class_walk, monkeypatch, cls, sieve, limit):
+        self.check_walk(sieve_limit, class_walk, monkeypatch, cls, sieve, limit)
+
+    @pytest.mark.parametrize("limit", [None, 10**4, 10**6])
+    def test_matches_the_walk_from_the_base(self, cold_sieve, sieve_limit,
+                                            class_walk, monkeypatch, limit):
+        self.check_walk(sieve_limit, class_walk, monkeypatch, REFINED_61,
+                        primes.BASE, limit)
+
+    @staticmethod
+    def check_walk(sieve_limit, class_walk, monkeypatch, cls, sieve, limit):
         primes_up_to(sieve)
         assert sieve_limit() == sieve
         calls = spy_shared_primes(monkeypatch)
         bound = 4 * sieve if limit is None else limit
         walked = itertools.takewhile(lambda p: p <= bound, flatten_segments(cls, limit))
         assert list(walked) == list(class_walk(cls, bound))
-        # A walk that ends inside the flags sieves nothing.
-        assert (calls == []) == (limit is not None and limit <= sieve)
+        # The walk asks for the first sieve once, and one that ends inside
+        # the flags sieves nothing.
+        assert calls[0] == primes.BASE
+        assert (calls[1:] == []) == (limit is not None and limit <= sieve)
 
     # Sent stops below, at and past the last member with a flag, 299*488 +
     # 367: after the first segment, the next ends at the stop's k, 200, 299
@@ -783,11 +927,12 @@ class TestFlagPrefix:
             flat += segments.send(stop)
         assert flat == list(class_walk(REFINED_61, flat[-1]))
         assert len([p for p in flat if p > stop]) <= 2 * primes._FIRST_SEGMENT
+        assert calls[0] == primes.BASE  # the walk's one first-sieve request
         if sieved_to is None:
-            assert calls == []
+            assert calls == [primes.BASE]
             assert sys.getrefcount(flags) == held + 1
         else:
-            assert calls[0] == math.isqrt((sieved_to - 1) * 488 + 367)
+            assert calls[1] == math.isqrt((sieved_to - 1) * 488 + 367)
             assert sys.getrefcount(flags) == held  # dropped past the prefix
 
 
@@ -864,8 +1009,9 @@ def test_cache_growth_is_consistent():
 
 def test_smooth_numbers_leave_the_sieve_small(cold_sieve, sieve_limit):
     # From a cold cache: 2**44 loses its only prime at once, so nothing
-    # past the first sieve (1024) is needed, not isqrt(2**44) = 4,194,304.
+    # past the first sieve (BASE = 2**16) is needed, not isqrt(2**44) =
+    # 4,194,304.
     assert prime_factors(2**44) == ((2, 44),)
-    assert sieve_limit() <= 1024
+    assert sieve_limit() <= primes.BASE
     assert order(3, 2**44).order == 2**42
-    assert sieve_limit() <= 1024
+    assert sieve_limit() <= primes.BASE
