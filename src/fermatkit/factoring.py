@@ -82,7 +82,8 @@ class FactorTrace(Record, namedtuple("FactorTrace", "steps")):
 
 
 def factor_nat(n):
-    """Complete factorization of n >= 2 by plain trial division."""
+    """Complete factorization of n >= 2: gcd trial division by the primes
+    up to 2**16, then the strong test, then Brent's rho."""
     return Factorization(n, prime_factors(n), COMPLETE)
 
 

@@ -26,8 +26,9 @@ class PerfectRecord(Record, namedtuple(
 
 class ExponentVerdict(Record, namedtuple(
         "ExponentVerdict", "exponent verdict witness digits", defaults=(None, None))):
-    """verdict: MERSENNE_PRIME, IMPOSTER or UNRESOLVED; witness: smallest known
-    factor, for imposters; digits: of the paired perfect number, for primes."""
+    """verdict: MERSENNE_PRIME, IMPOSTER or UNRESOLVED; witness: the least
+    prime factor, found by the class walk, for imposters; digits: of the
+    paired perfect number, for primes."""
 
     __slots__ = ()
 

@@ -1,38 +1,37 @@
 """Prime generation and deterministic primality testing.
 
-One shared sieve backs ``primes_up_to``, ``is_prime``, ``prime_factors``
-and the class sieve: an immutable (flags, primes) snapshot of the sieve's
-flag bytearray and prime list. The first sieve covers BASE = 2**16;
-growth doubles it until sufficient, up to MAX_SIEVE, and replaces the
-snapshot in one assignment under a lock, so a reader that takes it once
-holds one complete sieve. ``is_prime`` never grows it: it reads n's flag
-when n is in range, and otherwise runs strong probable-prime tests to
-the first k of the 13 prime bases 2..41, for the least k with n < psi_k,
-the least odd composite that passes the test to those k bases. So the
-test decides primality exactly below PSI13 = psi_13. The psi_k are from
-Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) for k <= 4,
-Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang and Deng (Math.
-Comp. 83, 2014) for k = 9..11, and Sorenson and Webster (Math. Comp. 86,
-2017) for k = 12 and 13.
+The base sieve, the flags and primes up to BASE = 2**16, is built at
+import. It is trial division's one table, and the first snapshot of the
+shared sieve that backs ``primes_up_to``, ``is_prime`` and the class
+walk: an immutable (flags, primes) snapshot of the sieve's flag bytearray
+and prime list. Growth doubles it until sufficient, up to MAX_SIEVE, and
+replaces the snapshot in one assignment under a lock, so a reader that
+takes it once holds one complete sieve. ``is_prime`` never grows it: it
+reads n's flag when n is in range, and otherwise runs strong
+probable-prime tests to the first k of the 13 prime bases 2..41, for the
+least k with n < psi_k, the least odd composite that passes the test to
+those k bases. So the test decides primality exactly below PSI13 =
+psi_13. The psi_k are from Pomerance, Selfridge and Wagstaff (Math. Comp.
+35, 1980) for k <= 4, Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang
+and Deng (Math. Comp. 83, 2014) for k = 9..11, and Sorenson and Webster
+(Math. Comp. 86, 2017) for k = 12 and 13.
 
-``prime_factors`` reads one snapshot and never grows it, save to the
-first sieve when it is empty. It answers a prime n within the sieve by
-its flag, and otherwise tries the snapshot's primes up to BASE, never
-more, in blocks of 32 by gcds: block 0, 2..131, against a constant, and
-the blocks from 1 on down a product tree (Bernstein, 2004) of at most 203
-blocks, which only trial division builds, as far as it reaches, and
-replaces under the lock. A cofactor that neither the square of the primes
-tried nor ``is_prime`` shows prime is split by Brent's rho, with a step
-cap past which the caller gets ValueError.
+``prime_factors`` never grows the shared sieve, and answers a prime n
+within it by its flag. Otherwise it tries the base primes, and no more,
+in blocks of 32 by gcds: block 0, 2..131, against a constant, and blocks
+1..204 down a product tree (Bernstein, 2004), built whole at the first
+n that reaches block 1. A cofactor past 65537**2 that ``is_prime``
+does not prove prime is split by Brent's rho, with a step cap past which
+the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 reads each residue's progression from the shared sieve's flags as far as
-they reach when the walk starts, to BASE at least, then sieves it a
-segment at a time, and merges the residues; a scan sends it where the
-scan stops. Segments grow 8x from 64 k values up to a cap, and each
-sieving prime carries a running offset, the next member it strikes, from
-segment to segment (the segmented sieve for arithmetic progressions of
-Bays and Hudson, BIT 17, 1977). ``primes_in_classes`` flattens it.
+they reach when the walk starts, then sieves it a segment at a time, and
+merges the residues; a scan sends it where the scan stops. Segments grow
+8x from 64 k values up to a cap, and each sieving prime carries a running
+offset, the next member it strikes, from segment to segment (the
+segmented sieve for arithmetic progressions of Bays and Hudson, BIT 17,
+1977). ``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
 """
 
 import _thread
@@ -55,34 +54,36 @@ def _sieve(limit):
 
 
 _lock = _thread.allocate_lock()
-_shared = (b"", [])  # (flags, primes) of the sieve to len(flags) - 1
 # The largest limit the shared sieve grows to.
 MAX_SIEVE = 1 << 24
-# The first sieve's limit, and trial division's ceiling: prime_factors
-# tries the _BASE_COUNT = pi(BASE) primes up to BASE, and no more, so a
-# cofactor they leave is prime below the square of the next, 65537.
+# The base sieve's limit, and trial division's ceiling: prime_factors
+# tries the primes up to BASE, and no more, so a cofactor they leave is
+# prime below the square of the next, 65537.
 BASE = 1 << 16
-_BASE_COUNT = 6542
 _BASE_SQUARE = (BASE + 1) ** 2
+# The base sieve, built at import: trial division's one table of primes,
+# and the shared sieve's first snapshot.
+_BASE = _sieve(BASE)
+_shared = _BASE  # (flags, primes) of the sieve to len(flags) - 1
 
 
 def shared_primes(limit):
     """The shared sieve's (flags, primes) snapshot, grown to cover limit.
 
     The snapshot is the cache itself, not a copy: callers read it and
-    never mutate it. Growth sieves to at least twice the old limit, and
-    to BASE, but not past MAX_SIEVE, and replaces the snapshot, never
-    changing an old one, so a snapshot stays valid, and exact over its
-    own range, after the lock is released. A limit past MAX_SIEVE raises
-    ValueError before any sieve is built.
+    never mutate it. Growth sieves to at least twice the old limit, but
+    not past MAX_SIEVE, and replaces the snapshot, never changing an old
+    one, so a snapshot stays valid, and exact over its own range, after
+    the lock is released. A limit past MAX_SIEVE raises ValueError before
+    any sieve is built.
     """
     global _shared
     if limit > MAX_SIEVE:
         raise ValueError(f"the prime sieve stops at {MAX_SIEVE}, got {limit}")
     with _lock:
-        top = len(_shared[0]) - 1  # the sieve's limit, -1 when empty
-        if limit > max(top, 1):
-            _shared = _sieve(min(max(limit, 2 * top, BASE), MAX_SIEVE))
+        top = len(_shared[0]) - 1  # the sieve's limit
+        if limit > top:
+            _shared = _sieve(min(max(limit, 2 * top), MAX_SIEVE))
         return _shared
 
 
@@ -143,59 +144,46 @@ def is_prime(n):
 # Primes per trial-division block: on n < 10**9, 32 was as fast as 64 and
 # faster than 16, 128 or 256. Block 0, 2..131, is one constant.
 _BLOCK = 32
-_FIRST_BLOCK = math.prod(_sieve(131)[1])
-# _block_tree[L][j] is the product of blocks 1 + j*2**L .. (j + 1)*2**L.
-_block_tree = [[]]
+_FIRST_BLOCK = math.prod(_BASE[1][:_BLOCK])
+# _block_tree[L][j] is the product of blocks 1 + j*2**L .. (j + 1)*2**L of
+# the base primes, or None before the first n that reaches block 1.
+_block_tree = None
 
 
-def _tree(primes, blocks):
-    """The tree over blocks 1 .. ``blocks`` of primes, or more. Growth
-    replaces it, never mutating a level, and a node stays valid for good,
-    since the prime list's prefix never changes."""
+def _tree():
+    """The product tree over the 204 base blocks after block 0, the last
+    of them the 14 primes 65,371..65,521, built whole. One assignment
+    publishes it, with no lock: any two builds are equal."""
     global _block_tree
-    with _lock:
-        old = tree = _block_tree
-        if len(tree[0]) < blocks:
-            tree = [old[0] + [math.prod(primes[k * _BLOCK : (k + 1) * _BLOCK])
-                              for k in range(len(old[0]) + 1, blocks + 1)]]
-            while len(tree[-1]) > 1:
-                low, kept = tree[-1], (old[len(tree):] or [[]])[0]
-                tree.append(kept + [low[2 * j] * low[2 * j + 1]
-                                    for j in range(len(kept), len(low) // 2)])
-            _block_tree = tree
+    primes = _BASE[1]
+    tree = [[math.prod(primes[k : k + _BLOCK])
+             for k in range(_BLOCK, len(primes), _BLOCK)]]
+    while len(tree[-1]) > 1:
+        tree.append([a * b for a, b in zip(tree[-1][::2], tree[-1][1::2])])
+    _block_tree = tree
     return tree
 
 
-def _divide_out(n, flags, primes, factors):
-    """The cofactor of n once the primes up to min(isqrt(n), BASE) are out.
+def _divide_out(n, factors):
+    """The cofactor of n once the base primes up to isqrt(n) are out.
 
-    flags and primes are one snapshot of the shared sieve, of which only
-    the first _BASE_COUNT primes are tried. Appends (p, e) to factors for
-    each p that divides n. Block 0 is tried by one gcd g with its constant,
-    and the last block, if the primes tried end inside it, by one with its
-    product. From block 1, each gcd tries the largest tree node that starts
-    there and ends by the block holding the square root, or by the last
-    whole block; a node with g = 1 is passed, and one that shares a factor
+    Appends (p, e) to factors for each p that divides n. Block 0 is tried
+    by one gcd g with its constant. From block 1, each gcd tries the
+    largest tree node that starts there and ends by the block holding the
+    square root; a node with g = 1 is passed, and one that shares a factor
     is descended, each left child tried against g and the right taken when
-    it shares none. The tree is read once, and grown at most once, per
-    call. A g that the flags call prime is divided out at once; another is
-    used up by a walk over its block.
+    it shares none. A g that the base flags call prime is divided out at
+    once; another is used up by a walk over its block.
     """
-    count, tree, i = len(primes), _block_tree, 0
-    if count > _BASE_COUNT:  # an if, not min(), on the common path
-        count = _BASE_COUNT
-    while i < count and primes[i] * primes[i] <= n:
+    (flags, primes), i = _BASE, 0
+    while i < len(primes) and primes[i] * primes[i] <= n:
         end = i + _BLOCK
         if not i:
             g = math.gcd(n, _FIRST_BLOCK)
-        elif end > count:
-            end = count
-            g = math.gcd(n, math.prod(primes[i:end]))
         else:  # tree positions x .. stop - 1 hold blocks x + 1 .. stop
-            root = bisect.bisect_right(primes, math.isqrt(n), i, count - count % _BLOCK)
+            tree = _block_tree or _tree()
+            root = bisect.bisect_right(primes, math.isqrt(n), i)
             x, stop = i // _BLOCK - 1, (root - 1) // _BLOCK
-            if len(tree[0]) < stop:
-                tree = _tree(primes, stop)
             while x < stop:
                 span, fit = x & -x, 1 << (stop - x).bit_length() - 1
                 if not span or span > fit:
@@ -214,7 +202,7 @@ def _divide_out(n, flags, primes, factors):
             i = (x + 1) * _BLOCK
             end = i + _BLOCK if g > 1 else i
         if g > 1:
-            for p in (g,) if g < len(flags) and flags[g] else primes[i:end]:
+            for p in (g,) if g <= BASE and flags[g] else primes[i:end]:
                 if g % p == 0:
                     g, e = g // p, 0
                     while n % p == 0:
@@ -272,24 +260,23 @@ def _split(n):
 def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2.
 
-    Flags and primes come from one read of the shared sieve, which this
-    never grows, save to the first sieve when it is empty. A prime n
-    inside it is answered by its flag; else the primes up to isqrt(n) and
-    BASE go by gcds, block 0 by one with its constant, so n < 137**2
-    builds no tree, and later blocks by the tree search. What is left has
-    no prime factor tried, so it is prime below both len(flags)**2 and
-    65537**2, or where ``is_prime`` proves it below PSI13; else ``_split``
-    splits it, and each part ``is_prime`` does not prove, until all are
-    proven. A part that ``_split`` cannot split raises ValueError.
+    This never grows the shared sieve. A prime n inside it is answered by
+    its flag; else the base primes up to isqrt(n) go by gcds, block 0 by
+    one with its constant, so n < 137**2 builds no tree, and later blocks
+    by the tree search. What is left has no prime factor tried, so it is
+    prime below 65537**2, or where ``is_prime`` proves it below PSI13;
+    else ``_split`` splits it, and each part ``is_prime`` does not prove,
+    until all are proven. A part that ``_split`` cannot split raises
+    ValueError.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
-    flags, primes = _shared if _shared[1] else shared_primes(min(BASE, MAX_SIEVE))
+    flags = _shared[0]  # replaced, never mutated, by growth
     if n < len(flags) and flags[n]:
         return ((n, 1),)
     factors = []
-    n = _divide_out(n, flags, primes, factors)
-    if (n >= _BASE_SQUARE or n >= len(flags) ** 2) and (n >= PSI13 or not is_prime(n)):
+    n = _divide_out(n, factors)
+    if n >= _BASE_SQUARE and (n >= PSI13 or not is_prime(n)):
         counts, parts = {}, list(_split(n))
         for part in parts:  # no part has a prime factor that was tried
             if part < PSI13 and is_prime(part):
@@ -314,21 +301,21 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each residue r is its own progression r + k*m. The walk starts with
-    one ``shared_primes(BASE)`` call, so every member up to BASE has a
-    flag. Up to the last k whose members all have flags then, a segment
-    is read from them by a strided slice; past it, it is sieved, and each
-    sieving prime strikes one progression of k in it. The segment's
-    per-residue lists are merged. The walk stops past limit, if any. Each
-    residue keeps its own plan entry per sieving prime: the library's
-    classes have one or two residues, but the 480 units mod 2310 take
-    about 2.3 s to 10**8 on a 2-core host.
+    Each residue r is its own progression r + k*m. The walk reads the
+    shared sieve once as it starts, so every member up to 2**16 at least
+    has a flag. Up to the last k whose members all have flags then, a
+    segment is read from them by a strided slice; past it, it is sieved,
+    and each sieving prime strikes one progression of k in it. The
+    segment's per-residue lists are merged. The walk stops past limit, if
+    any. Each residue keeps its own plan entry per sieving prime: the
+    library's classes have one or two residues, but the 480 units mod 2310
+    take about 2.3 s to 10**8 on a 2-core host.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it,
-    and the walk then drops the flags, so growth can free them. A sieving
-    prime's offset is found once, when a sieved segment first reaches its
-    square; each segment carries it past its end.
+    and the walk then drops the flags, so growth can free a grown sieve's.
+    A sieving prime's offset is found once, when a sieved segment first
+    reaches its square; each segment carries it past its end.
 
     A scan may send where it stops: the next segment then ends at the last
     k whose least member is at most that, but spans _FIRST_SEGMENT k values
@@ -341,7 +328,7 @@ def class_segments(classes, limit=None):
     residues = sorted(classes.residues)
     cap = math.inf if limit is None else limit + 1
     # The k values below read have every member's flag in the shared sieve.
-    flags = shared_primes(min(BASE, MAX_SIEVE))[0]
+    flags = _shared[0]
     read = max(0, (len(flags) - 1 - residues[-1]) // m + 1)
     # Sieving prime p strikes each k with p | r + k*m from the first member
     # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
@@ -395,5 +382,12 @@ def class_segments(classes, limit=None):
 
 
 def primes_in_classes(limit, classes):
-    """Primes p <= limit with p mod classes.modulus in classes.residues."""
+    """Primes p <= limit with p mod classes.modulus in classes.residues.
+
+    A walk over more than MAX_SIEVE members, counted as the k values up to
+    limit times the residues, raises ValueError before any segment: its
+    list could hold that many primes.
+    """
+    if (limit // classes.modulus + 1) * len(classes.residues) > MAX_SIEVE:
+        raise ValueError(f"a class walk stops at {MAX_SIEVE} members, got limit {limit}")
     return list(itertools.chain.from_iterable(class_segments(classes, limit)))

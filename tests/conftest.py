@@ -74,17 +74,17 @@ def trial_division_is_prime(n):
 
 @pytest.fixture
 def cold_sieve(monkeypatch):
-    """An empty shared sieve, no flags and no primes, so is_prime takes its
-    strong-test path, and an empty trial-division product tree. The
-    fixture's value, called, empties them again."""
+    """The shared sieve as import leaves it, the base sieve to 2**16, and
+    no trial-division product tree. The fixture's value, called, resets
+    them again."""
     from fermatkit import primes
 
-    def empty():
-        monkeypatch.setattr(primes, "_shared", (b"", []))
-        monkeypatch.setattr(primes, "_block_tree", [[]])
+    def reset():
+        monkeypatch.setattr(primes, "_shared", primes._BASE)
+        monkeypatch.setattr(primes, "_block_tree", None)
 
-    empty()
-    return empty
+    reset()
+    return reset
 
 
 def shared_sieve_limit():

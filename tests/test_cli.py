@@ -127,6 +127,16 @@ class TestCandidates:
         assert "mod 74" in out
         assert "149" in out and "223" in out
 
+    # The default limit, isqrt(2**q - 1), past 2**24 members: from q = 62
+    # for 1 mod q (mod 2q for odd q), and from q = 67 for the refined class.
+    @pytest.mark.parametrize("argv,limit", [
+        (("--q", "80"), 2**40 - 1), (("--q", "62"), 2**31 - 1),
+        (("--q", "67", "--refined"), 12148001999)])
+    def test_walk_past_the_ceiling_exits_2(self, capsys, argv, limit):
+        code, out, err = run(capsys, "candidates", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a class walk stops at 16777216 members, got limit {limit}\n"
+
 
 class TestPerfect:
     def test_challenge_scan(self, capsys):

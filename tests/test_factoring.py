@@ -254,29 +254,25 @@ class TestClassSieveScan:
         # segment's members: 64 per residue. A hit that lowers the stop
         # inside a segment leaves the rest of it untried, so the surplus of
         # yielded over tried primes is bounded only for scans whose stop
-        # no hit lowered. A segment that called shared_primes, past the
-        # walk's one request for the first sieve, was sieved; one that did
-        # not was read from the shared sieve's flags. With the first sieve
-        # at BASE = 2**16, segments growing 8x sieve 183 segments and read
-        # 274; with it at 1024 they sieved 300, and with none read, 404
-        # (4x growth 454, doubling 613). The bound keeps the schedule, the
-        # flag read and the first sieve's reach there.
+        # no hit lowered. A segment that called shared_primes was sieved;
+        # one that did not was read from the shared sieve's flags. From the
+        # base sieve, to BASE = 2**16, segments growing 8x sieve 183
+        # segments and read 274; from a sieve to 1024 they sieved 300, and
+        # with none read, 404 (4x growth 454, doubling 613). The bound keeps
+        # the schedule, the flag read and the base sieve's reach there.
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
         shared_primes, sieved = primes.shared_primes, []
         monkeypatch.setattr(primes, "shared_primes",
                             lambda limit: sieved.append(limit) or shared_primes(limit))
 
         def counted_segments(classes):
-            walk, stop, first = segments(classes), None, True
+            walk, stop = segments(classes), None
             while True:
                 before = len(sieved)
                 try:
                     segment = walk.send(stop)
                 except StopIteration:
                     return
-                if first:  # the walk's one request for the first sieve
-                    assert sieved[before] == primes.BASE
-                    before, first = before + 1, False
                 scans[-1]["yielded"] += segment
                 scans[-1]["sieved" if len(sieved) > before else "read"] += 1
                 stop = yield segment
@@ -314,14 +310,12 @@ class TestClassSieveScan:
 
     def test_traces_do_not_depend_on_the_sieve(self, cold_memo, cold_sieve,
                                                monkeypatch):
-        # With the first sieve at 1024 most scans sieve; from the first
-        # sieve at BASE = 2**16, or one grown to 10**5, most read their
-        # first segments from its flags.
+        # From a sieve to 1024 most scans sieve; from the base sieve, to
+        # BASE = 2**16, or one grown to 10**5, most read their first
+        # segments from its flags.
         exponents = [n for n in range(2, 129) if n != 122]
-        base = primes.BASE
-        monkeypatch.setattr(primes, "BASE", 1 << 10)
+        monkeypatch.setattr(primes, "_shared", primes._sieve(1 << 10))
         cold = [factor_mersenne(n, budget=10**7) for n in exponents]
-        monkeypatch.setattr(primes, "BASE", base)
         for grown in (0, 10**5):
             clear_cache()
             cold_sieve()

@@ -137,11 +137,10 @@ class TestOrder:
     def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve,
                                            sieve_limit):
         # φ comes only from prime_factors(modulus), which stops on a prime
-        # once the first sieve's primes are tried and is_prime proves it
-        # below psi_13, so it is called on p and p - 1 alone: from a cold
-        # cache the first call takes the first sieve, to BASE = 2**16, even
-        # for p = 3, and none grows it. A composite, and any modulus at or past
-        # psi_13, is factored too.
+        # once the base sieve's primes are tried and is_prime proves it
+        # below psi_13, so it is called on p and p - 1 alone, and the
+        # shared sieve stays at the base, to BASE = 2**16. A composite, and
+        # any modulus at or past psi_13, is factored too.
         calls, prime_factors = [], mersenne_module.prime_factors
 
         def counting_factors(n):
@@ -167,7 +166,7 @@ class TestOrder:
     def test_safe_prime_leaves_the_first_sieve(self, cold_sieve, sieve_ceiling,
                                                sieve_limit, modulus, k):
         # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
-        # sympy's n_order. The prime cofactor's root lies past the first
+        # sympy's n_order. The prime cofactor's root lies past the base
         # sieve (BASE = 2**16), but is_prime proves it and the sieve stays
         # there: grown to that root, it would reach 262,144, or about
         # 2 * 10**9.
@@ -312,14 +311,14 @@ class TestFirstProposition:
         assert first_proposition_witness(2**100) == (2, 3)
 
     def test_large_least_divisor(self, cold_sieve):
-        # From a cold sieve no prime up to 1021 divides 1000003**2, so the
-        # least divisor comes from prime_factors, whose rho splits the
-        # square past the first sieve.
+        # No base prime, up to 65521, divides 1000003**2, so the least
+        # divisor comes from prime_factors, whose rho splits the square
+        # past the base sieve.
         assert first_proposition_witness(1000003**2) == (1000003, mersenne(1000003))
 
     def test_least_divisor_past_the_strong_test_bases(self, cold_sieve):
         # 43**16 is past psi_13 with no factor up to 41, where is_prime
-        # raises; 43 is found among the first sieve's primes first.
+        # raises; 43 is found among the base sieve's primes first.
         assert 43**16 > PSI13
         assert first_proposition_witness(43**16) == (43, mersenne(43))
 
@@ -336,8 +335,8 @@ class TestFirstProposition:
         assert cold[0] == d and cold[1] == mersenne(d)
 
     def test_unfactorable_raises_cold_and_warm(self, cold_sieve):
-        # No prime up to 1021 divides 1000003 * M89, and rho cannot split
-        # M89; a sieve past 1000003 does not change that.
+        # No base prime, up to 65521, divides 1000003 * M89, and rho cannot
+        # split M89; a sieve past 1000003 does not change that.
         n = 1000003 * mersenne(89)
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)

@@ -1,7 +1,9 @@
 import bisect
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -36,11 +38,19 @@ def brute_is_prime(n):
 
 
 @pytest.fixture
-def first_sieve_1024(monkeypatch):
-    """The first sieve at 1024, not BASE: growth and the walks' flag reads
-    are the same code whatever the first sieve's limit, and a table that
-    ends below 2**16 puts its edges and cuts where these tests need them."""
-    monkeypatch.setattr(primes, "BASE", 1 << 10)
+def sieve_1024(monkeypatch):
+    """The sieve to 1024, not the base sieve, as the shared snapshot:
+    growth and the walks' flag reads are the same code from any snapshot,
+    and a table that ends below 2**16 puts its edges and cuts where these
+    tests need them."""
+    monkeypatch.setattr(primes, "_shared", primes._sieve(1 << 10))
+
+
+@pytest.fixture
+def no_flags(monkeypatch):
+    """An empty shared snapshot, no flags and no primes, so is_prime takes
+    its strong-test path for every n, at any size."""
+    monkeypatch.setattr(primes, "_shared", (b"", []))
 
 
 def spy_split(monkeypatch):
@@ -82,12 +92,13 @@ class TestSieve:
         assert flags == bytearray(n in members for n in range(limit + 1))
 
     def test_the_base_holds_pi_base_primes(self, oracle_primes):
-        # _BASE_COUNT is pi(2**16), so prime_factors needs no bisect to
-        # stop at BASE; 65521 is the last prime it tries, and a cofactor
-        # with no prime up to it is prime below the square of the next.
+        # The base sieve holds the pi(2**16) primes that prime_factors
+        # tries; 65521 is the last, and a cofactor with no prime up to it
+        # is prime below the square of the next.
         assert primes.BASE == 1 << 16
-        assert primes._BASE_COUNT == len(oracle_primes(16)) == 6542
-        assert primes_up_to(primes.BASE)[primes._BASE_COUNT - 1 :] == [65521]
+        assert len(primes._BASE[1]) == len(oracle_primes(16)) == 6542
+        assert primes._BASE[1] == oracle_primes(16)
+        assert primes_up_to(primes.BASE)[6541:] == [65521]
         assert primes._BASE_SQUARE == oracle_primes(17)[6542] ** 2 == 65537**2
 
 
@@ -107,26 +118,25 @@ class TestIsPrime:
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
 
-    # Sieves grown from cold, with the first sieve at 1024, and the flag
-    # table each leaves: 1031 is prime, so one side of the table's end
-    # holds it; 1030 then 1031 doubles.
+    # Sieves grown from an empty snapshot, and the flag table each leaves:
+    # 1031 is prime, so one side of the table's end holds it; 1030 then
+    # 1031 doubles.
     @pytest.mark.parametrize("growth,size", [
         ((), 0), ((1030,), 1031), ((1031,), 1032), ((1030, 1031), 2061),
         ((4099,), 4100)])
-    def test_flag_table_edges(self, cold_sieve, first_sieve_1024, trial_division,
-                              growth, size):
+    def test_flag_table_edges(self, no_flags, trial_division, growth, size):
         for limit in growth:
             primes_up_to(limit)
         assert len(primes._shared[0]) == size
         for n in (-2, -1, 0, 1, size - 1, size, size + 1):
             assert is_prime(n) is trial_division(n), n
 
-    # The same at BASE = 2**16: any limit up to it takes the first sieve,
-    # which ends between the primes 65521 and 65537, and the next limit
-    # past it doubles.
+    # The same from the base sieve, to BASE = 2**16, which ends between the
+    # primes 65521 and 65537: a limit up to it grows nothing, one past it
+    # doubles it, and one past the doubling is sieved to itself.
     @pytest.mark.parametrize("growth,size", [
         ((2,), 65537), ((1030,), 65537), ((65536, 65537), 131073),
-        ((65538,), 65539), ((300000,), 300001)])
+        ((131073,), 131074), ((300000,), 300001)])
     def test_flag_table_edges_past_the_base(self, cold_sieve, trial_division,
                                             growth, size):
         for limit in growth:
@@ -138,9 +148,9 @@ class TestIsPrime:
     def test_a_snapshot_outlives_growth(
         self, cold_sieve, monkeypatch, trial_division, factor_loop
     ):
-        # A reader that took the snapshot of the first sieve, to BASE,
-        # before a growth that doubles it still holds its flags and list,
-        # unmutated, and the module holds it no more, so growth can free it.
+        # A reader that took the base snapshot, to BASE, before a growth
+        # that doubles it still holds its flags and list, unmutated, and
+        # _shared holds it no more, so growth could free a grown one.
         # Read again, it still answers exactly: no call grows the sieve, and
         # 2..20,000 has composite and prime block gcds, 137 * 139 among them.
         old = primes.shared_primes(1024)
@@ -209,15 +219,15 @@ class TestStrongTest:
     def test_agrees_with_trial_division_to_200000(
         self, request, trial_division, cache
     ):
-        if cache == "cold":
-            request.getfixturevalue("cold_sieve")
+        if cache == "cold":  # no flags: the strong test decides every n
+            request.getfixturevalue("no_flags")
         else:
             primes_up_to(2 * 10**5)
         for n in range(-2, 2 * 10**5 + 1):
             assert is_prime(n) == trial_division(n), n
 
     def test_agrees_with_trial_division_below_10_to_12(
-        self, cold_sieve, trial_division
+        self, no_flags, trial_division
     ):
         rng = random.Random(2017)
         for n in (rng.randrange(10**12) for _ in range(3000)):
@@ -231,21 +241,21 @@ class TestStrongTest:
             fact, _ = factor_mersenne(n, budget=1 << 22)
             factors.update((q, n) for q, _e in fact.factors)
             assert fact.unresolved_cofactor == (mersenne(61) if n == 61 else 1)
-        request.getfixturevalue("cold_sieve")
+        request.getfixturevalue("no_flags")
         for q, n in sorted(factors.items()):
             assert is_prime(q) and trial_division(q), (n, q)
 
-    def test_mersenne_numbers_below_psi13(self, cold_sieve):
+    def test_mersenne_numbers_below_psi13(self, no_flags):
         assert mersenne(81) < primes.PSI13 < mersenne(82)
         for n in range(2, 82):
             assert is_prime(mersenne(n)) == is_mersenne_prime(n), n
 
     @pytest.mark.parametrize("n", PSEUDOPRIMES)
-    def test_strong_pseudoprimes_are_composite(self, cold_sieve, n):
+    def test_strong_pseudoprimes_are_composite(self, no_flags, n):
         assert not is_prime(n)
 
     @pytest.mark.parametrize("factors", CARMICHAEL)
-    def test_carmichael_numbers_are_composite(self, cold_sieve, factors):
+    def test_carmichael_numbers_are_composite(self, no_flags, factors):
         n = 1
         for p in factors:
             n *= p
@@ -265,7 +275,7 @@ class TestStrongTest:
             assert all(map(trial_division, factors)), k
             assert all(strong_probable_prime(psi, a) for a in bases[:k]), k
 
-    def test_agrees_with_sympy_in_every_band(self, cold_sieve, oracle_primes):
+    def test_agrees_with_sympy_in_every_band(self, no_flags, oracle_primes):
         # 2,000 seeded n in each band [psi_(k-1), psi_k) with no prime
         # factor <= 41, so each reaches the strong test to k bases, and
         # each n within 2 of psi_k below PSI13.
@@ -284,7 +294,7 @@ class TestStrongTest:
                 assert is_prime(n) == isprime(n), n
             low = psi
 
-    def test_bases_by_size(self, cold_sieve, monkeypatch):
+    def test_bases_by_size(self, no_flags, monkeypatch):
         # The primes on each side of each psi_k: each takes the first j
         # bases, for the least j with n < psi_j, no more.
         sympy = pytest.importorskip("sympy")
@@ -325,29 +335,32 @@ PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
 
 
 def assert_tree_is_block_products():
-    """Block 0 is the constant product of the first 32 primes, and each node
-    of the product tree, which starts at block 1, is the product of its 2**L
-    blocks of 32 cached primes; each level holds every node its blocks fill.
+    """Block 0 is the constant product of the first 32 base primes, and each
+    node of the product tree, which starts at block 1, is the product of
+    its 2**L blocks of 32 base primes; level 0 holds blocks 1..204, the
+    last of them the 14 primes from 65,371, and each level above holds
+    every node its blocks fill, up to one root.
 
     A level-0 node j is checked against the primes of block j + 1 and a
     higher one against its two children, which by induction is the same
     check at a cost linear in the tree.
     """
-    tree, cached = primes._block_tree, primes._shared[1]
-    assert primes._FIRST_BLOCK == math.prod(cached[:32])
+    tree, base = primes._block_tree, primes._BASE[1]
+    assert primes._FIRST_BLOCK == math.prod(base[:32])
+    assert len(tree[0]) == 204 and base[32 * 204 :][0] == 65371
     for j, node in enumerate(tree[0]):
-        assert node == math.prod(cached[32 * (j + 1) : 32 * (j + 2)]), j
+        assert node == math.prod(base[32 * (j + 1) : 32 * (j + 2)]), j
     for level, nodes in enumerate(tree[1:], 1):
         assert len(nodes) == len(tree[0]) >> level, level
         below = tree[level - 1]
         for j, node in enumerate(nodes):
             assert node == below[2 * j] * below[2 * j + 1], (level, j)
-    assert len(tree[-1]) <= 1
+    assert len(tree[-1]) == 1
 
 
 @pytest.fixture(params=["cold", "warm"])
 def sieve_state(request):
-    """A cold sieve, or one already grown to 10**5."""
+    """The sieve as import leaves it, or one already grown to 10**5."""
     if request.param == "cold":
         request.getfixturevalue("cold_sieve")
     else:
@@ -392,14 +405,15 @@ class TestPrimeFactors:
 
     @pytest.mark.parametrize("n", [509**2, 509 * 521, 1031 * 1033, LARGE_PRIME])
     def test_partial_last_block(self, sieve_state, factor_loop, n):
-        # isqrt(n) lies inside a block of 32, so the last block is cut: 509
-        # is the cut slice's one prime, and 521 the cofactor past it.
+        # isqrt(n) lies inside a block of 32, whose primes past it the tree
+        # search tries too: 509 is the last prime up to the root of 509**2
+        # and 509 * 521, and 521 the cofactor past it.
         assert prime_factors(n) == factor_loop(n)
         assert len(primes_up_to(isqrt(n))) % 32
 
     def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop,
                                    monkeypatch):
-        # 65537, the first prime past the first sieve (BASE = 2**16), is left
+        # 65537, the first prime past the base sieve (BASE = 2**16), is left
         # as a cofactor; 65537 * 65539, 262147**2 and 65537 * LARGE_PRIME
         # stop past the sieve, which stays at BASE, and rho splits them; in
         # 3 * (10**12 - 11) the cofactor is proven prime by the strong test,
@@ -415,7 +429,8 @@ class TestPrimeFactors:
     def test_smooth_times_prime_below_psi13(self, cold_sieve, sieve_ceiling):
         # n = s * P, s 10**4-smooth and P prime, up to psi_13: the loop ends
         # at P once is_prime proves it, however far past the sieve its root
-        # lies, and the sieve reaches no further than s needs, 16,384.
+        # lies; prime_factors never asks the shared sieve to grow, here
+        # past 16,384.
         # sympy's factorint is the oracle.
         sympy = pytest.importorskip("sympy")
         sieve_ceiling(16384)
@@ -429,9 +444,9 @@ class TestPrimeFactors:
 
     def test_sieve_stays_at_its_first_sieve(self, cold_sieve, sieve_limit,
                                             monkeypatch):
-        # From a cold cache, the limits left after each call, where the
-        # per-prime loop doubled the sieve to 2**18 and 2**20: the first
-        # call takes the first sieve, to BASE, and no call grows it. A
+        # From the import state, the limits left after each call, where the
+        # per-prime loop doubled the sieve to 2**18 and 2**20: the shared
+        # sieve stays at the base, to BASE, and no call grows it. A
         # cofactor that is_prime proves, LARGE_PRIME or 10**12 - 11, is
         # prime; 65537 * 65539, 262147**2 and 999983**2 are split by rho.
         split = spy_split(monkeypatch)
@@ -446,7 +461,7 @@ class TestPrimeFactors:
                                            sieve_limit, monkeypatch):
         # Products of 2 to 4 primes from 2**16 to 10**10, a prime power past
         # psi_13, the Fermat number 2**64 + 1 = 274177 * 67280421310721 and
-        # M61 * 3**5, with the sieve held at its first, to BASE: each piece
+        # M61 * 3**5, with the sieve held at the base, to BASE: each piece
         # that neither the square of the primes tried nor is_prime shows
         # prime is split by rho. sympy's factorint is the oracle.
         sympy = pytest.importorskip("sympy")
@@ -465,15 +480,15 @@ class TestPrimeFactors:
         assert sieve_limit() == primes.BASE
 
     @pytest.mark.parametrize("sieve", ["base", "lowered", "grown"])
-    def test_matches_trial_division_at_the_ceiling(self, cold_sieve, monkeypatch,
-                                                   factor_loop, sieve):
+    def test_matches_trial_division_at_the_ceiling(self, cold_sieve, request,
+                                                   monkeypatch, factor_loop, sieve):
         # Squares and products of the primes on each side of BASE, and
         # 2**32 + k, near 65537**2, where a cofactor stops being prime
-        # without a test: exact with the first sieve, with MAX_SIEVE
-        # lowered to 3000, whose smaller snapshot lowers that bound to
-        # 3001**2, and with a sieve grown to 2**20, which trial division
-        # still reads only to BASE.
+        # without a test: exact with the base sieve, with a snapshot grown
+        # from 1024 to a MAX_SIEVE lowered to 3000, below BASE, and with a
+        # sieve grown to 2**20. Trial division reads the base sieve in each.
         if sieve == "lowered":
+            request.getfixturevalue("sieve_1024")
             monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
         limit = {"base": primes.BASE, "lowered": 3000, "grown": 1 << 20}[sieve]
         primes_up_to(limit)
@@ -485,15 +500,15 @@ class TestPrimeFactors:
 
     def test_trial_division_stops_at_the_base(self, cold_sieve, monkeypatch):
         # From a snapshot to 2**20, 2 * (10**17 + 3) tries the primes up to
-        # BASE alone, in a tree of at most 204 blocks and 8 levels, before
-        # the strong test proves the cofactor prime; a tree over the whole
+        # BASE alone, in the tree of 204 blocks and 8 levels, before the
+        # strong test proves the cofactor prime; a tree over the whole
         # snapshot would hold 2,555 blocks.
         primes_up_to(1 << 20)
         split = spy_split(monkeypatch)
         start = time.perf_counter()
         assert prime_factors(2 * (10**17 + 3)) == ((2, 1), (10**17 + 3, 1))
         assert time.perf_counter() - start < 1
-        assert len(primes._block_tree[0]) <= 204 and len(primes._block_tree) <= 8
+        assert len(primes._block_tree[0]) == 204 and len(primes._block_tree) == 8
         assert split == []
         assert_tree_is_block_products()
 
@@ -525,11 +540,10 @@ class TestPrimeFactors:
         primes_in_classes(10**7, euler_refined_class(31))
         next(class_segments(generalized_class(61)))
         assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
-        assert primes._block_tree == [[]]
+        assert primes._block_tree is None
+        # The whole tree, although isqrt(LARGE_PRIME) = 31,622 needs only
+        # blocks 1..106.
         prime_factors(LARGE_PRIME)
-        # Every block but block 0 whose first prime is at most
-        # isqrt(LARGE_PRIME) = 31,622: blocks 1..106.
-        assert len(primes._block_tree[0]) == -(-len(primes_up_to(31622)) // 32) - 1 == 106
         assert_tree_is_block_products()
 
     def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop):
@@ -601,9 +615,9 @@ class TestProductTree:
             assert prime_factors(n) == factor_loop(n), n
 
     def test_the_last_cached_prime(self, cold_sieve, sieve_limit, factor_loop):
-        # After the first sieve (BASE = 2**16), the next three stop at its
-        # last prime, 65521; 65521 * 65537 finds 65521 in the cache, which
-        # drops its stop below the cached limit.
+        # With the base sieve (BASE = 2**16), the next three stop at its
+        # last prime, 65521; 65521 * 65537 finds 65521 among the base
+        # primes, which drops its stop below the base.
         for n in (4, 65521**2, 65519 * 65521, 2 * 65521**2, 65521 * 65537):
             assert prime_factors(n) == factor_loop(n), n
             assert sieve_limit() == primes.BASE, n
@@ -619,14 +633,14 @@ class TestProductTree:
 
     def test_a_prime_near_10_to_12_takes_at_most_8_gcds(self, cold_sieve,
                                                         monkeypatch):
-        # 78,498 primes up to 10**6, all cached: block 0, then nodes of
-        # 2048, 256, 128, 16 and 4 blocks for blocks 1..2452, then the
-        # 2 primes of block 2453 that the count cuts. The tree from block 0
-        # took 18.
+        # The 6,542 base primes, however far the sieve reaches: block 0,
+        # then nodes of 128, 64, 8 and 4 blocks for blocks 1..204. With
+        # block 204 tried by a gcd of its own it took 7, a tree over all
+        # 78,498 primes up to 10**6 took 8, and one from block 0 took 18.
         primes_up_to(10**6)
         calls = count_gcds(monkeypatch)
         assert prime_factors(10**12 - 11) == ((10**12 - 11, 1),)
-        assert len(calls) <= 8
+        assert len(calls) <= 5
 
     def test_a_cached_prime_takes_no_gcd(self, cold_sieve, monkeypatch):
         # Its flag answers, as for each order(2, p) of the FLT sweep.
@@ -637,11 +651,53 @@ class TestProductTree:
 
     def test_no_tree_below_the_square_of_137(self, cold_sieve):
         # 137 is the first prime past block 0, so n < 137**2 is settled by
-        # the gcd with block 0's constant.
+        # the gcd with block 0's constant; 137**2 itself builds the tree.
         primes_up_to(10**5)
         for n in range(2, 137**2):
             prime_factors(n)
-        assert primes._block_tree == [[]]
+        assert primes._block_tree is None
+        assert prime_factors(137**2) == ((137, 2),)
+        assert_tree_is_block_products()
+
+    def test_import_leaves_the_base_sieve_and_no_tree(self):
+        # The state cold_sieve resets to: a fresh process holds the base
+        # sieve as its shared snapshot, and no product tree.
+        src = os.path.dirname(os.path.dirname(primes.__file__))
+        code = ("import fermatkit.primes as p;"
+                " print(p._shared is p._BASE, len(p._shared[0]) - 1, p._block_tree)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert out.stdout == "True 65536 None\n"
+
+    def test_the_tree_is_built_once(self, cold_sieve):
+        # Whole, at the first n past block 0, with 204 level-0 nodes and 8
+        # levels; later calls read the same object.
+        prime_factors(LARGE_PRIME)
+        tree = primes._block_tree
+        assert len(tree[0]) == 204 and len(tree) == 8
+        for n in (10**12 - 11, 65521**2, 2 * (10**17 + 3)):
+            prime_factors(n)
+            assert primes._block_tree is tree, n
+
+    def test_trial_division_ignores_the_snapshot(self, cold_sieve, monkeypatch,
+                                                 factor_loop):
+        # With no flags, with the sieve to 1024, with the base sieve and
+        # with a sieve to 2**20, the same factors from the same gcds: trial
+        # division reads the base sieve and its tree alone. None of these n
+        # is a prime that a snapshot's flags answer.
+        cases = [65521**2, 65537**2, 65521 * 65537, *range(2**32 - 40, 2**32 + 41),
+                 10**12 - 11]
+        calls, runs = count_gcds(monkeypatch), []
+        for snapshot in ((b"", []), primes._sieve(1 << 10), primes._BASE,
+                         primes._sieve(1 << 20)):
+            monkeypatch.setattr(primes, "_shared", snapshot)
+            run = []
+            for n in cases:
+                calls.clear()
+                run.append((prime_factors(n), len(calls)))
+            runs.append(run)
+        assert runs[1:] == runs[:-1]
+        assert [factors for factors, _ in runs[0]] == list(map(factor_loop, cases))
 
 
 class TestPrimesInClasses:
@@ -688,6 +744,31 @@ class TestPrimesInClasses:
     def test_class_without_primes_is_empty(self):
         # Every member of 4 mod 8 is even and at least 4.
         assert primes_in_classes(10**4, CandidateClass(8, frozenset({4}), 2)) == []
+
+    def test_members_stop_at_the_sieve_ceiling(self, monkeypatch):
+        # (limit // modulus + 1) * residues members: up to MAX_SIEVE, here
+        # lowered to 3000, the walk runs; one past it raises.
+        odd, refined = CandidateClass(2, frozenset({1}), 2), euler_refined_class(31)
+        found = primes_up_to(1500 * 248 - 1)
+        monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
+        assert primes_in_classes(5999, odd) == [p for p in found if 2 < p <= 5999]
+        assert primes_in_classes(1500 * 248 - 1, refined) == [
+            p for p in found if p % 248 in (1, 63)]
+        for limit, cls in ((6000, odd), (1500 * 248, refined)):
+            with pytest.raises(ValueError,
+                               match=f"stops at 3000 members, got limit {limit}$"):
+                primes_in_classes(limit, cls)
+
+    def test_no_sieve_before_the_ceiling_raises(self, monkeypatch):
+        # candidates --q 80 walks 1 mod 160 to isqrt(2**80 - 1), about 6.9e9
+        # members: refused before a segment is read or a sieve is built.
+        def never(*args):
+            raise AssertionError(f"ran with {args}")
+
+        for name in ("_sieve", "shared_primes", "class_segments"):
+            monkeypatch.setattr(primes, name, never)
+        with pytest.raises(ValueError, match="stops at 16777216 members"):
+            primes_in_classes(isqrt(mersenne(80)), generalized_class(80))
 
 
 class TestClassPrimes:
@@ -827,15 +908,16 @@ class TestClassSegments:
         ids=["refined-31", "generalized-2", "all-mod-210"])
     def test_walks_below_the_base_strike_nothing(self, cold_sieve, sieve_limit,
                                                  class_walk, monkeypatch, cls, limit):
-        # From a cold cache a walk takes the first sieve, to BASE, and reads
-        # every member up to it from the flags: no sieving prime is planned,
-        # which would take an inverse of the modulus, and none strikes.
+        # From the import state a walk reads every member up to BASE from
+        # the base sieve's flags: it asks the shared sieve for nothing, no
+        # sieving prime is planned, which would take an inverse of the
+        # modulus, and none strikes.
         calls = spy_shared_primes(monkeypatch)
         inverses = []
         monkeypatch.setattr(primes, "pow",
                             lambda *a: inverses.append(a) or pow(*a), raising=False)
         assert primes_in_classes(limit, cls) == list(class_walk(cls, limit))
-        assert calls == [primes.BASE] and inverses == []
+        assert calls == [] and inverses == []
         assert sieve_limit() == primes.BASE
 
     @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
@@ -870,14 +952,14 @@ STRIDE_ONE = (CandidateClass(2, frozenset({0, 1}), 2),
 
 
 class TestFlagPrefix:
-    # (class, sieve limit, walk limit), with the first sieve at 1024: the
+    # (class, sieve limit, walk limit), from the sieve to 1024: the
     # k values whose members all have flags end inside the first segment
     # of 64 k values (at 10), at the ends of the first and second (64,
     # 576), between the two residues of k = 100, or past the walk's limit.
     # For the stride-1 classes a sieve to 1024 ends them at k = 512, 170
     # and 102, in the second segment, and one to 10**4 + 7 at 5,004, 1,668
-    # and 1,001. At BASE = 2**16 the sieve to 65536 ends refined-61's at
-    # k = 134, in the second segment.
+    # and 1,001. The base sieve, to 65536, ends refined-61's at k = 134, in
+    # the second segment.
     CUTS = [(REFINED_61, 5000, None), (REFINED_61, 63 * 488 + 367, None),
             (REFINED_61, 575 * 488 + 367, None), (REFINED_61, 100 * 488 + 100, None),
             (REFINED_61, 50000, 10**4), (REFINED_61, 50000, 10**6)]
@@ -885,8 +967,8 @@ class TestFlagPrefix:
     CUTS += [(cls, 10**4, 5000) for cls in STRIDE_ONE]
 
     @pytest.mark.parametrize("cls,sieve,limit", CUTS)
-    def test_matches_the_walk(self, cold_sieve, first_sieve_1024, sieve_limit,
-                              class_walk, monkeypatch, cls, sieve, limit):
+    def test_matches_the_walk(self, sieve_1024, sieve_limit, class_walk,
+                              monkeypatch, cls, sieve, limit):
         self.check_walk(sieve_limit, class_walk, monkeypatch, cls, sieve, limit)
 
     @pytest.mark.parametrize("limit", [None, 10**4, 10**6])
@@ -903,10 +985,8 @@ class TestFlagPrefix:
         bound = 4 * sieve if limit is None else limit
         walked = itertools.takewhile(lambda p: p <= bound, flatten_segments(cls, limit))
         assert list(walked) == list(class_walk(cls, bound))
-        # The walk asks for the first sieve once, and one that ends inside
-        # the flags sieves nothing.
-        assert calls[0] == primes.BASE
-        assert (calls[1:] == []) == (limit is not None and limit <= sieve)
+        # Only a walk that passes the flags asks the shared sieve for more.
+        assert (calls == []) == (limit is not None and limit <= sieve)
 
     # Sent stops below, at and past the last member with a flag, 299*488 +
     # 367: after the first segment, the next ends at the stop's k, 200, 299
@@ -927,12 +1007,11 @@ class TestFlagPrefix:
             flat += segments.send(stop)
         assert flat == list(class_walk(REFINED_61, flat[-1]))
         assert len([p for p in flat if p > stop]) <= 2 * primes._FIRST_SEGMENT
-        assert calls[0] == primes.BASE  # the walk's one first-sieve request
         if sieved_to is None:
-            assert calls == [primes.BASE]
+            assert calls == []
             assert sys.getrefcount(flags) == held + 1
         else:
-            assert calls[1] == math.isqrt((sieved_to - 1) * 488 + 367)
+            assert calls[0] == math.isqrt((sieved_to - 1) * 488 + 367)
             assert sys.getrefcount(flags) == held  # dropped past the prefix
 
 
@@ -984,15 +1063,16 @@ def test_sent_stops_move_only_where_segments_end(cold_sieve, class_walk):
     check()
 
 
-def test_the_sieve_stops_at_its_ceiling(cold_sieve, sieve_limit, monkeypatch):
-    # Past MAX_SIEVE nothing is sieved; below it growth doubles, but no
-    # further than MAX_SIEVE, here lowered to 3000.
+def test_the_sieve_stops_at_its_ceiling(sieve_1024, sieve_limit, monkeypatch):
+    # Past MAX_SIEVE nothing is sieved; below it growth doubles, here from
+    # the sieve to 1024, but no further than MAX_SIEVE, here lowered to 3000.
     with pytest.raises(ValueError, match="stops at"):
         primes_up_to(primes.MAX_SIEVE + 1)
-    assert sieve_limit() == 0
+    assert sieve_limit() == 1024
     monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
     primes_up_to(2000)
-    primes_up_to(2001)
+    assert sieve_limit() == 2048
+    primes_up_to(2049)
     assert sieve_limit() == 3000
     assert primes_up_to(3000) == [p for p in range(3001) if brute_is_prime(p)]
     with pytest.raises(ValueError, match="stops at 3000, got 3001"):
@@ -1008,8 +1088,8 @@ def test_cache_growth_is_consistent():
 
 
 def test_smooth_numbers_leave_the_sieve_small(cold_sieve, sieve_limit):
-    # From a cold cache: 2**44 loses its only prime at once, so nothing
-    # past the first sieve (BASE = 2**16) is needed, not isqrt(2**44) =
+    # From the import state: 2**44 loses its only prime at once, so nothing
+    # past the base sieve (BASE = 2**16) is needed, not isqrt(2**44) =
     # 4,194,304.
     assert prime_factors(2**44) == ((2, 44),)
     assert sieve_limit() <= primes.BASE
