@@ -26,10 +26,12 @@ from .forms import (
 from .kernel import digit_count, divisors, gcd, isqrt, modpow
 from .mersenne import (
     OrderRecord,
+    SweepRecord,
     divisibility_conjecture_check,
     exponent_progression,
     first_proposition_witness,
     flt_check,
+    flt_sweep,
     is_mersenne_prime,
     order,
     second_proposition_check,
@@ -75,10 +77,12 @@ __all__ = [
     "isqrt",
     "modpow",
     "OrderRecord",
+    "SweepRecord",
     "divisibility_conjecture_check",
     "exponent_progression",
     "first_proposition_witness",
     "flt_check",
+    "flt_sweep",
     "is_mersenne_prime",
     "order",
     "second_proposition_check",

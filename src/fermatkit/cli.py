@@ -1,11 +1,11 @@
 """Command-line interface: parse, call the library, print what ``render`` gives.
 
-Every result's text comes from ``render``; the ``verify-flt`` sweep's loop
-runs here, and the one line written here is the error line of a
-``ValueError``. Exit codes: 0 on success (and all replay items passing), 1
-when a replay item or sweep finds a mismatch, 2 on usage or domain errors,
-141 (128 + SIGPIPE) when stdout is closed before the output is written,
-as by ``| head``; that case prints nothing to stderr.
+Every result comes from the library and its text from ``render``; the one
+line written here is the error line of a ``ValueError``. Exit codes: 0 on
+success (and all replay items passing), 1 when a replay item or sweep
+finds a mismatch, 2 on usage or domain errors, 141 (128 + SIGPIPE) when
+stdout is closed before the output is written, as by ``| head``; that
+case prints nothing to stderr.
 """
 
 import argparse
@@ -16,9 +16,9 @@ from . import render
 from .factoring import factor_mersenne
 from .forms import euler_refined_class, generalized_class
 from .kernel import isqrt
-from .mersenne import divisibility_conjecture_check, flt_check, mersenne, order
+from .mersenne import flt_sweep, mersenne, order
 from .perfect import frenicle_scan
-from .primes import primes_in_classes, primes_up_to
+from .primes import primes_in_classes
 from .replay import SCENARIOS, replay_all
 
 
@@ -96,24 +96,9 @@ def _cmd_order(args):
 
 
 def _cmd_verify_flt(args):
-    failures = 0
-    checked = 0
-    for p in primes_up_to(args.max_p):
-        for a in args.bases:
-            if a % p == 0:
-                continue
-            checked += 1
-            if not flt_check(p, a):
-                failures += 1
-                print(render.flt_counterexample_text(p, a))
-        if p > 2:
-            k, holds = divisibility_conjecture_check(p)
-            checked += 1
-            if not holds:
-                failures += 1
-                print(render.order_counterexample_text(p, k))
-    print(render.sweep_summary_text(checked, failures))
-    return 1 if failures else 0
+    sweep = flt_sweep(args.max_p, args.bases)
+    sys.stdout.writelines(render.sweep_lines(sweep))
+    return 1 if sweep.counterexamples else 0
 
 
 def _cmd_candidates(args):

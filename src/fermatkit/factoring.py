@@ -209,9 +209,9 @@ def _class_scan(cofactor, cls, budget, steps, counts):
 def verify(f):
     """Recheck a Factorization: product, factor primality, status flags.
 
-    Each factor's primality is rechecked by ``is_prime``, a flag or the
-    strong test, so no sieve grows; a factor at or above ``primes.PSI13``
-    with no prime factor <= 41 raises ValueError.
+    Each factor's primality is rechecked by ``is_prime``, a base flag or
+    the strong test; a factor at or above ``primes.PSI13`` with no prime
+    factor <= 41 raises ValueError.
     """
     product = f.unresolved_cofactor
     for p, e in f.factors:

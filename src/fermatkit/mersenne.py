@@ -3,9 +3,10 @@
 ``mersenne`` is the one place 2**n - 1 is built, and ``is_mersenne_prime``
 (Lucas-Lehmer) the one place its primality is decided. The other
 operations recompute a claimed divisibility fact and report whether it
-holds, but ``divisibility_conjecture_check`` cannot report False: its
-order comes from p - 1 (ROADMAP item 5 is the check that can fail).
-``order`` reduces φ, from ``prime_factors`` alone, with an Euler check.
+holds, but the order checks of ``divisibility_conjecture_check`` and
+``flt_sweep`` cannot report False: the order comes from p - 1 (ROADMAP
+item 5 is the check that can fail). ``order`` reduces φ, from
+``prime_factors`` alone, with an Euler check.
 """
 
 from collections import namedtuple
@@ -16,6 +17,14 @@ from .primes import is_prime, prime_factors, primes_up_to
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
     """order is the least k >= 1 with modulus | base**k - 1."""
+
+    __slots__ = ()
+
+
+class SweepRecord(Record, namedtuple("SweepRecord", "checks counterexamples")):
+    """checks counts the checks run; counterexamples lists the failed ones
+    in sweep order, (p, a, None) where p does not divide a**(p-1) - 1 and
+    (p, None, k) where the order k of 2 mod p does not divide p - 1."""
 
     __slots__ = ()
 
@@ -90,6 +99,27 @@ def flt_check(p, a):
     return pow(a, p - 1, p) == 1
 
 
+def flt_sweep(max_p, bases):
+    """The power-residue sweep over the primes p <= max_p, as a SweepRecord.
+
+    The primes come from one ``primes_up_to(max_p)``, so none is tested
+    again. Each base a that p does not divide is checked by one pow,
+    p | a**(p-1) - 1 (Fermat, 1640), and each odd p by the order k of 2
+    mod p, k | p - 1.
+    """
+    checks, counterexamples = 0, []
+    for p in primes_up_to(max_p):
+        tried = [a for a in bases if a % p]
+        checks += len(tried)
+        counterexamples += [(p, a, None) for a in tried if pow(a, p - 1, p) != 1]
+        if p > 2:
+            checks += 1
+            k = order(2, p).order
+            if (p - 1) % k:
+                counterexamples.append((p, None, k))
+    return SweepRecord(checks, tuple(counterexamples))
+
+
 def divisibility_conjecture_check(p):
     """(k, holds): k = order of 2 mod p, holds = k divides p - 1.
 
@@ -142,11 +172,10 @@ def first_proposition_witness(n):
     """(d, M_d) witnessing that a composite exponent gives a composite value.
 
     d is n's least prime divisor: the first of the primes up to 1021 to
-    divide n, else the least prime of ``prime_factors(n)``, so the answer
-    does not depend on how far the shared sieve reaches. An n with no such
-    small prime that ``prime_factors`` cannot factor, such as 1000003 times
-    a prime past psi_13, raises ValueError. 2**d - 1 then properly divides
-    2**n - 1.
+    divide n, else the least prime of ``prime_factors(n)``. An n with no
+    such small prime that ``prime_factors`` cannot factor, such as 1000003
+    times a prime past psi_13, raises ValueError. 2**d - 1 then properly
+    divides 2**n - 1.
     """
     if n >= 4:
         small = (p for p in primes_up_to(1021) if n % p == 0)

@@ -1,40 +1,36 @@
 """Prime generation and deterministic primality testing.
 
 The base sieve, the flags and primes up to BASE = 2**16, is built at
-import. It is trial division's one table, and the first snapshot of the
-shared sieve that backs ``primes_up_to``, ``is_prime`` and the class
-walk: an immutable (flags, primes) snapshot of the sieve's flag bytearray
-and prime list. Growth doubles it until sufficient, up to MAX_SIEVE, and
-replaces the snapshot in one assignment under a lock, so a reader that
-takes it once holds one complete sieve. ``is_prime`` never grows it: it
-reads n's flag when n is in range, and otherwise runs strong
-probable-prime tests to the first k of the 13 prime bases 2..41, for the
-least k with n < psi_k, the least odd composite that passes the test to
-those k bases. So the test decides primality exactly below PSI13 =
-psi_13. The psi_k are from Pomerance, Selfridge and Wagstaff (Math. Comp.
-35, 1980) for k <= 4, Jaeschke (Math. Comp. 61, 1993) for k = 5..8, Jiang
-and Deng (Math. Comp. 83, 2014) for k = 9..11, and Sorenson and Webster
-(Math. Comp. 86, 2017) for k = 12 and 13.
+import and never changes: it is trial division's one table, and the
+flags that ``is_prime``, ``prime_factors`` and the class walk read.
+``primes_up_to`` slices its list up to BASE, and past it sieves for the
+call, up to MAX_SIEVE. ``is_prime`` reads n's flag when n is in range,
+and otherwise runs strong probable-prime tests to the first k of the 13
+prime bases 2..41, for the least k with n < psi_k, the least odd
+composite that passes the test to those k bases. So the test decides
+primality exactly below PSI13 = psi_13. The psi_k are from Pomerance,
+Selfridge and Wagstaff (Math. Comp. 35, 1980) for k <= 4, Jaeschke (Math.
+Comp. 61, 1993) for k = 5..8, Jiang and Deng (Math. Comp. 83, 2014) for
+k = 9..11, and Sorenson and Webster (Math. Comp. 86, 2017) for k = 12
+and 13.
 
-``prime_factors`` never grows the shared sieve, and answers a prime n
-within it by its flag. Otherwise it tries the base primes, and no more,
-in blocks of 32 by gcds: block 0, 2..131, against a constant, and blocks
-1..204 down a product tree (Bernstein, 2004), built whole at the first
-n that reaches block 1. A cofactor past 65537**2 that ``is_prime``
-does not prove prime is split by Brent's rho, with a step cap past which
-the caller gets ValueError.
+``prime_factors`` answers a prime n up to BASE by its flag. Otherwise it
+tries the base primes, and no more, in blocks of 32 by gcds: block 0,
+2..131, against a constant, and blocks 1..204 down a product tree
+(Bernstein, 2004), built whole at the first n that reaches block 1. A
+cofactor past 65537**2 that ``is_prime`` does not prove prime is split by
+Brent's rho, with a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
-reads each residue's progression from the shared sieve's flags as far as
-they reach when the walk starts, then sieves it a segment at a time, and
-merges the residues; a scan sends it where the scan stops. Segments grow
-8x from 64 k values up to a cap, and each sieving prime carries a running
-offset, the next member it strikes, from segment to segment (the
-segmented sieve for arithmetic progressions of Bays and Hudson, BIT 17,
-1977). ``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
+reads each residue's progression from the base flags as far as they
+reach, then sieves it a segment at a time, and merges the residues; a
+scan sends it where the scan stops. Segments grow 8x from 64 k values up
+to a cap, and each sieving prime carries a running offset, the next
+member it strikes, from segment to segment (the segmented sieve for
+arithmetic progressions of Bays and Hudson, BIT 17, 1977).
+``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
 """
 
-import _thread
 import bisect
 import itertools
 import math
@@ -53,43 +49,28 @@ def _sieve(limit):
     return flags, [2, *itertools.compress(range(3, limit + 1, 2), flags[3::2])]
 
 
-_lock = _thread.allocate_lock()
-# The largest limit the shared sieve grows to.
+# The largest limit primes_up_to sieves to.
 MAX_SIEVE = 1 << 24
 # The base sieve's limit, and trial division's ceiling: prime_factors
 # tries the primes up to BASE, and no more, so a cofactor they leave is
 # prime below the square of the next, 65537.
 BASE = 1 << 16
 _BASE_SQUARE = (BASE + 1) ** 2
-# The base sieve, built at import: trial division's one table of primes,
-# and the shared sieve's first snapshot.
+# The base sieve, (flags, primes) to BASE, built at import: the one table
+# of flags and of trial-division primes. Callers read it and never mutate
+# it.
 _BASE = _sieve(BASE)
-_shared = _BASE  # (flags, primes) of the sieve to len(flags) - 1
-
-
-def shared_primes(limit):
-    """The shared sieve's (flags, primes) snapshot, grown to cover limit.
-
-    The snapshot is the cache itself, not a copy: callers read it and
-    never mutate it. Growth sieves to at least twice the old limit, but
-    not past MAX_SIEVE, and replaces the snapshot, never changing an old
-    one, so a snapshot stays valid, and exact over its own range, after
-    the lock is released. A limit past MAX_SIEVE raises ValueError before
-    any sieve is built.
-    """
-    global _shared
-    if limit > MAX_SIEVE:
-        raise ValueError(f"the prime sieve stops at {MAX_SIEVE}, got {limit}")
-    with _lock:
-        top = len(_shared[0]) - 1  # the sieve's limit
-        if limit > top:
-            _shared = _sieve(min(max(limit, 2 * top), MAX_SIEVE))
-        return _shared
 
 
 def primes_up_to(limit):
-    """All primes <= limit, as a fresh list served from the shared cache."""
-    primes = shared_primes(limit)[1]
+    """All primes <= limit, as a fresh list: a slice of the base primes up
+    to BASE, past it the list of a sieve built for the call. A limit past
+    MAX_SIEVE raises ValueError before any sieve is built."""
+    if limit > MAX_SIEVE:
+        raise ValueError(f"the prime sieve stops at {MAX_SIEVE}, got {limit}")
+    if limit > BASE:
+        return _sieve(limit)[1]
+    primes = _BASE[1]
     return primes[: bisect.bisect_right(primes, limit)]
 
 
@@ -104,17 +85,16 @@ PSI13 = 3317044064679887385961981
 
 
 def is_prime(n):
-    """True iff n is prime, without growing the sieve.
+    """True iff n is prime, without sieving.
 
-    0 <= n <= the sieve's limit is answered by n's flag, read from the
-    shared snapshot by one global load and one index. Past it, n is
-    divided by the 13 bases 2..41 and then, below PSI13, given the strong
-    test to the first k bases for the least k with n < psi_k: 4 bases
-    below 3,215,031,751, all 13 only from psi_12. n >= PSI13 without a
-    factor <= 41 raises ValueError, since no base set here is proven
-    exact for it.
+    0 <= n <= BASE is answered by n's base flag, read by one global load
+    and one index. Past it, n is divided by the 13 bases 2..41 and then,
+    below PSI13, given the strong test to the first k bases for the least
+    k with n < psi_k: 4 bases below 3,215,031,751, all 13 only from
+    psi_12. n >= PSI13 without a factor <= 41 raises ValueError, since no
+    base set here is proven exact for it.
     """
-    flags = _shared[0]  # replaced, never mutated, by growth
+    flags = _BASE[0]
     if 0 <= n < len(flags):
         return flags[n] == 1
     if n < 2:
@@ -260,10 +240,9 @@ def _split(n):
 def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2.
 
-    This never grows the shared sieve. A prime n inside it is answered by
-    its flag; else the base primes up to isqrt(n) go by gcds, block 0 by
-    one with its constant, so n < 137**2 builds no tree, and later blocks
-    by the tree search. What is left has no prime factor tried, so it is
+    A prime n up to BASE is answered by its base flag; else the base
+    primes up to isqrt(n) go by gcds, block 0 by one with its constant, so
+    n < 137**2 builds no tree, and later blocks by the tree search. What is left has no prime factor tried, so it is
     prime below 65537**2, or where ``is_prime`` proves it below PSI13;
     else ``_split`` splits it, and each part ``is_prime`` does not prove,
     until all are proven. A part that ``_split`` cannot split raises
@@ -271,8 +250,7 @@ def prime_factors(n):
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
-    flags = _shared[0]  # replaced, never mutated, by growth
-    if n < len(flags) and flags[n]:
+    if n <= BASE and _BASE[0][n]:
         return ((n, 1),)
     factors = []
     n = _divide_out(n, factors)
@@ -301,19 +279,19 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each residue r is its own progression r + k*m. The walk reads the
-    shared sieve once as it starts, so every member up to 2**16 at least
-    has a flag. Up to the last k whose members all have flags then, a
-    segment is read from them by a strided slice; past it, it is sieved,
-    and each sieving prime strikes one progression of k in it. The
+    Each residue r is its own progression r + k*m. Up to the last k whose
+    members all have base flags, every k when limit <= BASE, a segment is
+    read from the flags by a strided slice; past it, it is sieved, and
+    each sieving prime strikes one progression of k in it. The sieving
+    primes are the base primes; only a walk past BASE**2 takes more, from
+    one ``primes_up_to`` list that doubles as the walk needs it. The
     segment's per-residue lists are merged. The walk stops past limit, if
     any. Each residue keeps its own plan entry per sieving prime: the
     library's classes have one or two residues, but the 480 units mod 2310
     take about 2.3 s to 10**8 on a 2-core host.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
-    to _MAX_SEGMENT; the one holding the last flagged k is cut after it,
-    and the walk then drops the flags, so growth can free a grown sieve's.
+    to _MAX_SEGMENT; the one holding the last flagged k is cut after it.
     A sieving prime's offset is found once, when a sieved segment first
     reaches its square; each segment carries it past its end.
 
@@ -327,9 +305,9 @@ def class_segments(classes, limit=None):
     m = classes.modulus
     residues = sorted(classes.residues)
     cap = math.inf if limit is None else limit + 1
-    # The k values below read have every member's flag in the shared sieve.
-    flags = _shared[0]
-    read = max(0, (len(flags) - 1 - residues[-1]) // m + 1)
+    # The k values below read have every member's flag in the base sieve.
+    (flags, primes), top = _BASE, BASE  # sieving primes up to top
+    read = (BASE - residues[-1]) // m + 1 if cap > BASE + 1 else math.inf
     # Sieving prime p strikes each k with p | r + k*m from the first member
     # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
     # p | m, p strikes every member (stride 1) when p | r, none otherwise.
@@ -342,12 +320,15 @@ def class_segments(classes, limit=None):
             if limit is not None:
                 n = min(n, (limit - residues[0]) // m + 1 - k0)
             end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
-        if k0 < read:  # cut where the flags end
+        sieved = k0 >= read
+        if not sieved:  # cut where the flags end
             k1 = min(end, read)
         else:
-            k1, flags = end, None  # past the flags: growth may free them
+            k1 = end
             root = math.isqrt((k1 - 1) * m + residues[-1])
-            primes = shared_primes(root)[1]
+            if root > top:  # a walk past top**2: at least double the list
+                top = max(root, min(2 * top, MAX_SIEVE))
+                primes = primes_up_to(top)
             count = bisect.bisect_right(primes, root)
             for p in itertools.islice(primes, planned, count):
                 inverse = pow(m, -1, p) if m % p else 0  # one per prime
@@ -362,7 +343,7 @@ def class_segments(classes, limit=None):
         lists = []
         for r, plan in zip(residues, plans):
             members = range(k0 * m + r, min(k1 * m + r, cap), m)
-            if flags:
+            if not sieved:
                 sieve = flags[members.start : members.stop : m]
             else:
                 width = len(members)

@@ -104,16 +104,13 @@ def order_text(record):
     return f"order of {record.base} mod {record.modulus} = {record.order}"
 
 
-def flt_counterexample_text(p, a):
-    return f"counterexample: p={p} a={a}"
-
-
-def order_counterexample_text(p, k):
-    return f"counterexample: order {k} of 2 mod {p} does not divide {p - 1}"
-
-
-def sweep_summary_text(checked, failures):
-    return f"{checked} checks, {failures} counterexamples"
+def sweep_lines(sweep):
+    for p, a, k in sweep.counterexamples:
+        if k is None:
+            yield f"counterexample: p={p} a={a}\n"
+        else:
+            yield f"counterexample: order {k} of 2 mod {p} does not divide {p - 1}\n"
+    yield f"{sweep.checks} checks, {len(sweep.counterexamples)} counterexamples\n"
 
 
 def candidates_lines(q, cls, limit, found):

@@ -74,48 +74,46 @@ def trial_division_is_prime(n):
 
 @pytest.fixture
 def cold_sieve(monkeypatch):
-    """The shared sieve as import leaves it, the base sieve to 2**16, and
-    no trial-division product tree. The fixture's value, called, resets
-    them again."""
+    """No trial-division product tree, as import leaves it. The fixture's
+    value, called, resets it again."""
     from fermatkit import primes
 
     def reset():
-        monkeypatch.setattr(primes, "_shared", primes._BASE)
         monkeypatch.setattr(primes, "_block_tree", None)
 
     reset()
     return reset
 
 
-def shared_sieve_limit():
-    """The largest n the shared sieve has a flag for, 0 when it is empty."""
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fails the test at any sieve built from here on, before it is built:
+    past the base sieve, built at import, a test of a bound then fails
+    fast, not by exhausting memory, where the bound breaks."""
     from fermatkit import primes
 
-    return max(len(primes._shared[0]) - 1, 0)
+    def refuse(limit):
+        raise AssertionError(f"a sieve to {limit} was built")
+
+    monkeypatch.setattr(primes, "_sieve", refuse)
 
 
 @pytest.fixture
-def sieve_limit():
-    return shared_sieve_limit
-
-
-@pytest.fixture
-def sieve_ceiling(monkeypatch):
-    """A function of limit after which a request to grow the shared sieve
-    past limit fails the test before any sieve is built, so a test of a
-    bound fails fast, not by exhausting memory, where the bound breaks."""
+def sieved(monkeypatch):
+    """The widths of the class-walk segments sieved from here on, one per
+    residue: each starts as bytearray([1]) * width, where a segment read
+    from the base flags is sliced from them."""
     from fermatkit import primes
 
-    shared_primes = primes.shared_primes
+    widths = []
 
-    def ceiling(limit):
-        def capped(n):
-            assert n <= limit, f"the sieve was asked to reach {n} > {limit}"
-            return shared_primes(n)
+    class Counted(bytearray):
+        def __mul__(self, width):
+            widths.append(width)
+            return bytearray(self) * width
 
-        monkeypatch.setattr(primes, "shared_primes", capped)
-
-    return ceiling
+    monkeypatch.setattr(primes, "bytearray", Counted, raising=False)
+    return widths
 
 
 @pytest.fixture

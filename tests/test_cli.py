@@ -88,19 +88,21 @@ class TestVerifyFlt:
         assert err == "error: the prime sieve stops at 16777216, got 100000000000\n"
 
     # Primes 2, 3, 5 and 7 with bases 2 and 3: 6 power-residue checks (2
-    # is skipped for p = 2, 3 for p = 3) and 3 order checks (p > 2).
+    # is skipped for p = 2, 3 for p = 3) and 3 order checks (p > 2). The
+    # sweep in fermatkit.mersenne is stubbed at its pow and its order.
     def test_power_residue_counterexample_exits_1(self, capsys, monkeypatch):
-        flt_check = fermatkit.cli.flt_check
-        monkeypatch.setattr(fermatkit.cli, "flt_check",
-                            lambda p, a: (p, a) != (5, 3) and flt_check(p, a))
+        monkeypatch.setattr(fermatkit.mersenne, "pow",
+                            lambda *args: 4 if args == (3, 4, 5) else pow(*args),
+                            raising=False)
         code, out, err = run(capsys, "verify-flt", "--max-p", "10", "--bases", "2,3")
         assert (code, out, err) == (
             1, "counterexample: p=5 a=3\n9 checks, 1 counterexamples\n", "")
 
     def test_order_counterexample_exits_1(self, capsys, monkeypatch):
-        check = fermatkit.cli.divisibility_conjecture_check
-        monkeypatch.setattr(fermatkit.cli, "divisibility_conjecture_check",
-                            lambda p: (4, False) if p == 7 else check(p))
+        order = fermatkit.mersenne.order
+        monkeypatch.setattr(fermatkit.mersenne, "order",
+                            lambda a, m: order(a, m)._replace(order=4) if m == 7
+                            else order(a, m))
         code, out, err = run(capsys, "verify-flt", "--max-p", "10", "--bases", "2,3")
         assert (code, out, err) == (
             1, "counterexample: order 4 of 2 mod 7 does not divide 6\n"

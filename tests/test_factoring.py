@@ -205,17 +205,6 @@ class TestVerify:
         fact, _ = factor_mersenne(37, budget=223)
         assert verify(fact)
 
-    def test_leaves_the_sieve_where_the_scan_left_it(self, cold_memo, cold_sieve,
-                                                      sieve_limit):
-        # 106 of these factors lie past the scan's sieve (4,096 from a cold
-        # cache), the largest 67,280,421,310,721; trial division would
-        # sieve to its square root.
-        exponents = [n for n in range(2, 129) if n != 122]
-        facts = [factor_mersenne(n, budget=10**7)[0] for n in exponents]
-        limit = sieve_limit()
-        assert all(verify(f) for f in facts)
-        assert sieve_limit() == limit
-
 
 @pytest.fixture
 def cold_memo():
@@ -247,23 +236,20 @@ class TestClassSieveScan:
         monkeypatch.setattr(factoring, "class_segments", walk_batches)
         assert run() == sieved
 
-    def test_sieve_stops_where_the_scan_stops(self, cold_memo, cold_sieve, monkeypatch):
+    def test_sieve_stops_where_the_scan_stops(self, cold_memo, sieved, monkeypatch):
         # The factor benchmark's job, from a cold memo and sieve. A scan
         # sends the sieve its stop, min(isqrt(cofactor), budget), so past
         # its first stop the sieve yields at most one _FIRST_SEGMENT
         # segment's members: 64 per residue. A hit that lowers the stop
         # inside a segment leaves the rest of it untried, so the surplus of
         # yielded over tried primes is bounded only for scans whose stop
-        # no hit lowered. A segment that called shared_primes was sieved;
-        # one that did not was read from the shared sieve's flags. From the
+        # no hit lowered. A segment that started a bytearray was sieved;
+        # one that did not was read from the base sieve's flags. From the
         # base sieve, to BASE = 2**16, segments growing 8x sieve 183
         # segments and read 274; from a sieve to 1024 they sieved 300, and
         # with none read, 404 (4x growth 454, doubling 613). The bound keeps
         # the schedule, the flag read and the base sieve's reach there.
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
-        shared_primes, sieved = primes.shared_primes, []
-        monkeypatch.setattr(primes, "shared_primes",
-                            lambda limit: sieved.append(limit) or shared_primes(limit))
 
         def counted_segments(classes):
             walk, stop = segments(classes), None
@@ -308,19 +294,15 @@ class TestClassSieveScan:
                 surplus = len(r["yielded"]) - len(r["tried"])
                 assert surplus <= one_segment, r["cls"]
 
-    def test_traces_do_not_depend_on_the_sieve(self, cold_memo, cold_sieve,
-                                               monkeypatch):
-        # From a sieve to 1024 most scans sieve; from the base sieve, to
-        # BASE = 2**16, or one grown to 10**5, most read their first
-        # segments from its flags.
+    def test_traces_do_not_depend_on_the_sieve(self, cold_memo, monkeypatch):
+        # With the flags cut to 1024 most scans sieve; with the base
+        # sieve's, to BASE = 2**16, most read their first segments from
+        # them.
         exponents = [n for n in range(2, 129) if n != 122]
-        monkeypatch.setattr(primes, "_shared", primes._sieve(1 << 10))
-        cold = [factor_mersenne(n, budget=10**7) for n in exponents]
-        for grown in (0, 10**5):
-            clear_cache()
-            cold_sieve()
-            primes.primes_up_to(grown)
-            assert [factor_mersenne(n, budget=10**7) for n in exponents] == cold
+        base = [factor_mersenne(n, budget=10**7) for n in exponents]
+        clear_cache()
+        monkeypatch.setattr(primes, "BASE", 1 << 10)
+        assert [factor_mersenne(n, budget=10**7) for n in exponents] == base
 
     def test_m61_completes_unbudgeted(self, cold_memo):
         fact, trace = factor_mersenne(61)

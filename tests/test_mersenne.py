@@ -8,10 +8,12 @@ import fermatkit
 import fermatkit.mersenne as mersenne_module
 from fermatkit import primes
 from fermatkit.mersenne import (
+    SweepRecord,
     divisibility_conjecture_check,
     exponent_progression,
     first_proposition_witness,
     flt_check,
+    flt_sweep,
     is_mersenne_prime,
     mersenne,
     order,
@@ -134,13 +136,12 @@ class TestOrder:
         for q in _prime_divisors(k):
             assert pow(base, k // q, modulus) != 1, q
 
-    def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve,
-                                           sieve_limit):
+    def test_prime_modulus_is_not_factored(self, monkeypatch, cold_sieve, no_sieve):
         # φ comes only from prime_factors(modulus), which stops on a prime
         # once the base sieve's primes are tried and is_prime proves it
-        # below psi_13, so it is called on p and p - 1 alone, and the
-        # shared sieve stays at the base, to BASE = 2**16. A composite, and
-        # any modulus at or past psi_13, is factored too.
+        # below psi_13, so it is called on p and p - 1 alone, and no sieve
+        # is built past the base, to BASE = 2**16. A composite, and any
+        # modulus at or past psi_13, is factored too.
         calls, prime_factors = [], mersenne_module.prime_factors
 
         def counting_factors(n):
@@ -153,7 +154,6 @@ class TestOrder:
             calls.clear()
             assert pow(2, order(2, p).order, p) == 1
             assert calls == [p, p - 1], p
-            assert sieve_limit() == primes.BASE, p
         for m in (10**12 + 1, 3**60):
             calls.clear()
             order(2, m)
@@ -163,16 +163,13 @@ class TestOrder:
         (100000000379, 50000000189),
         (10000000000000001963, 5000000000000000981),
     ])
-    def test_safe_prime_leaves_the_first_sieve(self, cold_sieve, sieve_ceiling,
-                                               sieve_limit, modulus, k):
+    def test_safe_prime_leaves_the_first_sieve(self, cold_sieve, no_sieve,
+                                               modulus, k):
         # Safe primes of 12 and 20 digits, modulus = 2 * prime + 1; k is
         # sympy's n_order. The prime cofactor's root lies past the base
-        # sieve (BASE = 2**16), but is_prime proves it and the sieve stays
-        # there: grown to that root, it would reach 262,144, or about
-        # 2 * 10**9.
-        sieve_ceiling(primes.BASE)
+        # sieve (BASE = 2**16), but is_prime proves it and no sieve is
+        # built: one to that root would reach 262,144, or about 2 * 10**9.
         assert order(3, modulus).order == k
-        assert sieve_limit() == primes.BASE
 
     def test_unchanged_for_odd_moduli_to_30000(self, factor_loop):
         # The least k with 2**k = 1 mod m: it divides φ(m), from the
@@ -242,6 +239,50 @@ class TestDivisibilityConjecture:
             k, holds = divisibility_conjecture_check(p)
             assert holds
             assert k == order_loop(2, p)
+
+
+class TestFltSweep:
+    def test_matches_a_loop_over_the_oracle_primes(self, oracle_primes, factor_loop):
+        # Past the base sieve, to 10**5, bases 2 and 3: the loop the CLI ran,
+        # over this suite's own primes, with the order of 2 mod p reduced
+        # from p - 1 by the oracle's factors of p - 1.
+        checks, found = 0, []
+        for p in (p for p in oracle_primes(17) if p <= 10**5):
+            for a in (2, 3):
+                if a % p:
+                    checks += 1
+                    if pow(a, p - 1, p) != 1:
+                        found.append((p, a, None))
+            if p > 2:
+                k = p - 1
+                for q, _ in factor_loop(p - 1):
+                    while k % q == 0 and pow(2, k // q, p) == 1:
+                        k //= q
+                checks += 1
+                if (p - 1) % k:
+                    found.append((p, None, k))
+        assert checks == 2 * 9592 - 2 + 9591
+        assert flt_sweep(10**5, [2, 3]) == SweepRecord(checks, tuple(found))
+
+    def test_no_primality_test_per_base(self, monkeypatch):
+        # The primes come from the sieve: neither is_prime nor flt_check
+        # runs, per base or per prime, past the base sieve too.
+        calls = []
+        for module, name in ((mersenne_module, "is_prime"), (primes, "is_prime"),
+                             (mersenne_module, "flt_check"),
+                             (mersenne_module, "divisibility_conjecture_check")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, fn=fn: calls.append(args) or fn(*args))
+        sweep = flt_sweep(10**5, range(2, 51))
+        assert sweep.counterexamples == () and sweep.checks > 49 * 9592
+        assert calls == []
+
+    def test_bases_that_p_divides_are_skipped(self):
+        # p = 2 divides 0, 2 and 4 and p = 3 divides 0 and 3, so 3 is the
+        # one base checked for 2, and 2 and 4 for 3, with 3's order check.
+        assert flt_sweep(3, [0, 2, 3, 4]) == SweepRecord(1 + 2 + 1, ())
+        assert flt_sweep(1, [2]) == SweepRecord(0, ())
 
 
 class TestExponentProgression:
@@ -322,25 +363,26 @@ class TestFirstProposition:
         assert 43**16 > PSI13
         assert first_proposition_witness(43**16) == (43, mersenne(43))
 
-    # The least divisor is the same whether the sieve is cold or reaches
-    # 2*10**6: 1000003**5 is split by rho from cold, and 2*M89 is answered
-    # by 2 before M89, a prime past psi_13, is reached.
+    # The least divisor is the same whether the product tree is cold or
+    # built: 1000003**5 is split by rho, and 2*M89 is answered by 2 before
+    # M89, a prime past psi_13, is reached.
     @pytest.mark.parametrize("n,d", [(1000003**5, 1000003), (43**16, 43),
                                      (2**100, 2), (2 * mersenne(89), 2)],
                              ids=["1000003**5", "43**16", "2**100", "2*M89"])
     def test_cold_and_warm_sieves_agree(self, cold_sieve, n, d):
         cold = first_proposition_witness(n)
-        primes.primes_up_to(2 * 10**6)
+        primes.prime_factors(10**12 - 11)
+        assert primes._block_tree is not None
         assert first_proposition_witness(n) == cold
         assert cold[0] == d and cold[1] == mersenne(d)
 
     def test_unfactorable_raises_cold_and_warm(self, cold_sieve):
         # No base prime, up to 65521, divides 1000003 * M89, and rho cannot
-        # split M89; a sieve past 1000003 does not change that.
+        # split M89, with the product tree cold or built.
         n = 1000003 * mersenne(89)
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
-        primes.primes_up_to(2 * 10**6)
+        assert primes._block_tree is not None
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
 

@@ -38,19 +38,20 @@ def brute_is_prime(n):
 
 
 @pytest.fixture
-def sieve_1024(monkeypatch):
-    """The sieve to 1024, not the base sieve, as the shared snapshot:
-    growth and the walks' flag reads are the same code from any snapshot,
-    and a table that ends below 2**16 puts its edges and cuts where these
-    tests need them."""
-    monkeypatch.setattr(primes, "_shared", primes._sieve(1 << 10))
-
-
-@pytest.fixture
 def no_flags(monkeypatch):
-    """An empty shared snapshot, no flags and no primes, so is_prime takes
-    its strong-test path for every n, at any size."""
-    monkeypatch.setattr(primes, "_shared", (b"", []))
+    """Empty flags and primes in place of the base sieve, so is_prime takes
+    its strong-test path for every n, at any size. Trial division reads
+    the same table, so only is_prime is called under it."""
+    monkeypatch.setattr(primes, "_BASE", (b"", []))
+
+
+def flags_to(monkeypatch, limit):
+    """Class walks and primes_up_to read the base flags up to limit <= BASE
+    alone, as if the base sieve ended there: a table that ends below 2**16
+    puts the walks' cuts where a test needs them. is_prime and trial
+    division still read the whole base sieve."""
+    assert limit <= primes.BASE
+    monkeypatch.setattr(primes, "BASE", limit)
 
 
 def spy_split(monkeypatch):
@@ -118,55 +119,26 @@ class TestIsPrime:
         for n in range(10**4 + 1):
             assert is_prime(n) == (n in members)
 
-    # Sieves grown from an empty snapshot, and the flag table each leaves:
-    # 1031 is prime, so one side of the table's end holds it; 1030 then
-    # 1031 doubles.
-    @pytest.mark.parametrize("growth,size", [
-        ((), 0), ((1030,), 1031), ((1031,), 1032), ((1030, 1031), 2061),
-        ((4099,), 4100)])
-    def test_flag_table_edges(self, no_flags, trial_division, growth, size):
+    # No flags, and the base sieve's, to BASE = 2**16, which ends between
+    # the primes 65521 and 65537: primes_up_to to a limit up to it sieves
+    # nothing, and n past it takes the strong test.
+    @pytest.mark.parametrize("growth,size", [((), 0)])
+    def test_flag_table_edges(self, no_flags, no_sieve, trial_division, growth,
+                              size):
         for limit in growth:
             primes_up_to(limit)
-        assert len(primes._shared[0]) == size
+        assert len(primes._BASE[0]) == size
         for n in (-2, -1, 0, 1, size - 1, size, size + 1):
             assert is_prime(n) is trial_division(n), n
 
-    # The same from the base sieve, to BASE = 2**16, which ends between the
-    # primes 65521 and 65537: a limit up to it grows nothing, one past it
-    # doubles it, and one past the doubling is sieved to itself.
-    @pytest.mark.parametrize("growth,size", [
-        ((2,), 65537), ((1030,), 65537), ((65536, 65537), 131073),
-        ((131073,), 131074), ((300000,), 300001)])
-    def test_flag_table_edges_past_the_base(self, cold_sieve, trial_division,
+    @pytest.mark.parametrize("growth,size", [((2,), 65537), ((1030,), 65537)])
+    def test_flag_table_edges_past_the_base(self, no_sieve, trial_division,
                                             growth, size):
         for limit in growth:
             primes_up_to(limit)
-        assert len(primes._shared[0]) == size
+        assert len(primes._BASE[0]) == size
         for n in (-2, -1, 0, 1, 65521, 65537, size - 1, size, size + 1):
             assert is_prime(n) is trial_division(n), n
-
-    def test_a_snapshot_outlives_growth(
-        self, cold_sieve, monkeypatch, trial_division, factor_loop
-    ):
-        # A reader that took the base snapshot, to BASE, before a growth
-        # that doubles it still holds its flags and list, unmutated, and
-        # _shared holds it no more, so growth could free a grown one.
-        # Read again, it still answers exactly: no call grows the sieve, and
-        # 2..20,000 has composite and prime block gcds, 137 * 139 among them.
-        old = primes.shared_primes(1024)
-        assert len(old[0]) == primes.BASE + 1
-        copies = bytes(old[0]), list(old[1])
-        held = sys.getrefcount(old)
-        primes_up_to(10**5)
-        assert len(primes._shared[0]) == 2 * primes.BASE + 1
-        assert sys.getrefcount(old) == held - 1
-        assert (bytes(old[0]), old[1]) == copies
-        monkeypatch.setattr(primes, "_shared", old)
-        for n in range(-2, 10**5 + 2):
-            assert is_prime(n) is trial_division(n), n
-        for n in range(2, 20000):
-            assert prime_factors(n) == factor_loop(n), n
-        assert primes._shared is old
 
 
 # psi_k: the least strong pseudoprime to the first k prime bases
@@ -219,10 +191,10 @@ class TestStrongTest:
     def test_agrees_with_trial_division_to_200000(
         self, request, trial_division, cache
     ):
-        if cache == "cold":  # no flags: the strong test decides every n
+        # cold: no flags, so the strong test decides every n; warm: the base
+        # flags decide n up to BASE, and the strong test the rest.
+        if cache == "cold":
             request.getfixturevalue("no_flags")
-        else:
-            primes_up_to(2 * 10**5)
         for n in range(-2, 2 * 10**5 + 1):
             assert is_prime(n) == trial_division(n), n
 
@@ -360,11 +332,11 @@ def assert_tree_is_block_products():
 
 @pytest.fixture(params=["cold", "warm"])
 def sieve_state(request):
-    """The sieve as import leaves it, or one already grown to 10**5."""
-    if request.param == "cold":
-        request.getfixturevalue("cold_sieve")
-    else:
-        primes_up_to(10**5)
+    """No product tree, as import leaves it, or the tree already built."""
+    request.getfixturevalue("cold_sieve")
+    if request.param == "warm":
+        prime_factors(LARGE_PRIME)
+        assert primes._block_tree is not None
 
 
 class TestPrimeFactors:
@@ -411,11 +383,11 @@ class TestPrimeFactors:
         assert prime_factors(n) == factor_loop(n)
         assert len(primes_up_to(isqrt(n))) % 32
 
-    def test_primes_past_the_sieve(self, cold_sieve, sieve_limit, factor_loop,
+    def test_primes_past_the_sieve(self, cold_sieve, no_sieve, factor_loop,
                                    monkeypatch):
         # 65537, the first prime past the base sieve (BASE = 2**16), is left
         # as a cofactor; 65537 * 65539, 262147**2 and 65537 * LARGE_PRIME
-        # stop past the sieve, which stays at BASE, and rho splits them; in
+        # stop past the sieve, and rho splits them, with no sieve built; in
         # 3 * (10**12 - 11) the cofactor is proven prime by the strong test,
         # with no split.
         split = spy_split(monkeypatch)
@@ -423,17 +395,14 @@ class TestPrimeFactors:
                           (65537 * LARGE_PRIME, 1), (3 * (10**12 - 11), 0)):
             split.clear()
             assert prime_factors(n) == factor_loop(n), n
-            assert sieve_limit() == primes.BASE, n
             assert len(split) == splits, n
 
-    def test_smooth_times_prime_below_psi13(self, cold_sieve, sieve_ceiling):
+    def test_smooth_times_prime_below_psi13(self, cold_sieve, no_sieve):
         # n = s * P, s 10**4-smooth and P prime, up to psi_13: the loop ends
         # at P once is_prime proves it, however far past the sieve its root
-        # lies; prime_factors never asks the shared sieve to grow, here
-        # past 16,384.
+        # lies; prime_factors builds no sieve.
         # sympy's factorint is the oracle.
         sympy = pytest.importorskip("sympy")
-        sieve_ceiling(16384)
         rng = random.Random(16)
         small = primes_up_to(10**4)
         for _ in range(200):
@@ -442,30 +411,27 @@ class TestPrimeFactors:
             n = s * sympy.prevprime(rng.randrange(10**4, top))
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
 
-    def test_sieve_stays_at_its_first_sieve(self, cold_sieve, sieve_limit,
+    def test_sieve_stays_at_its_first_sieve(self, cold_sieve, no_sieve,
                                             monkeypatch):
-        # From the import state, the limits left after each call, where the
-        # per-prime loop doubled the sieve to 2**18 and 2**20: the shared
-        # sieve stays at the base, to BASE, and no call grows it. A
-        # cofactor that is_prime proves, LARGE_PRIME or 10**12 - 11, is
-        # prime; 65537 * 65539, 262147**2 and 999983**2 are split by rho.
+        # Calls where the per-prime loop doubled the sieve to 2**18 and
+        # 2**20 build none past the base sieve, to BASE. A cofactor that
+        # is_prime proves, LARGE_PRIME or 10**12 - 11, is prime;
+        # 65537 * 65539, 262147**2 and 999983**2 are split by rho.
         split = spy_split(monkeypatch)
         calls = [2**44, 65537 * 65539, 2 * LARGE_PRIME, 3**27, 262147**2,
                  10**12 - 11, 2**3 * 999983**2, LARGE_PRIME]
         for n in calls:
             prime_factors(n)
-            assert sieve_limit() == primes.BASE, n
         assert split == [65537 * 65539, 262147**2, 999983**2]
 
-    def test_products_past_the_first_sieve(self, cold_sieve, sieve_ceiling,
-                                           sieve_limit, monkeypatch):
+    def test_products_past_the_first_sieve(self, cold_sieve, no_sieve,
+                                           monkeypatch):
         # Products of 2 to 4 primes from 2**16 to 10**10, a prime power past
         # psi_13, the Fermat number 2**64 + 1 = 274177 * 67280421310721 and
-        # M61 * 3**5, with the sieve held at the base, to BASE: each piece
+        # M61 * 3**5, with no sieve past the base, to BASE: each piece
         # that neither the square of the primes tried nor is_prime shows
         # prime is split by rho. sympy's factorint is the oracle.
         sympy = pytest.importorskip("sympy")
-        sieve_ceiling(primes.BASE)
         split = spy_split(monkeypatch)
         rng = random.Random(19)
         cases = [1000003**5, 2**64 + 1, (2**61 - 1) * 3**5]
@@ -477,18 +443,16 @@ class TestPrimeFactors:
             split.clear()
             assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items())), n
             assert split or n == (2**61 - 1) * 3**5, n
-        assert sieve_limit() == primes.BASE
 
     @pytest.mark.parametrize("sieve", ["base", "lowered", "grown"])
-    def test_matches_trial_division_at_the_ceiling(self, cold_sieve, request,
-                                                   monkeypatch, factor_loop, sieve):
+    def test_matches_trial_division_at_the_ceiling(self, cold_sieve, monkeypatch,
+                                                   factor_loop, sieve):
         # Squares and products of the primes on each side of BASE, and
         # 2**32 + k, near 65537**2, where a cofactor stops being prime
-        # without a test: exact with the base sieve, with a snapshot grown
-        # from 1024 to a MAX_SIEVE lowered to 3000, below BASE, and with a
-        # sieve grown to 2**20. Trial division reads the base sieve in each.
+        # without a test: exact after primes_up_to(BASE), with MAX_SIEVE
+        # lowered to 3000, below BASE, and after a sieve to 2**20 for one
+        # call. Trial division reads the base sieve in each.
         if sieve == "lowered":
-            request.getfixturevalue("sieve_1024")
             monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
         limit = {"base": primes.BASE, "lowered": 3000, "grown": 1 << 20}[sieve]
         primes_up_to(limit)
@@ -496,14 +460,13 @@ class TestPrimeFactors:
                  65519 * 65521 * 65537, 2 * 65537**2, *range(2**32 - 40, 2**32 + 41)]
         for n in cases:
             assert prime_factors(n) == factor_loop(n), n
-        assert len(primes._shared[0]) == limit + 1
+        assert len(primes._BASE[0]) == primes.BASE + 1
 
     def test_trial_division_stops_at_the_base(self, cold_sieve, monkeypatch):
-        # From a snapshot to 2**20, 2 * (10**17 + 3) tries the primes up to
-        # BASE alone, in the tree of 204 blocks and 8 levels, before the
-        # strong test proves the cofactor prime; a tree over the whole
-        # snapshot would hold 2,555 blocks.
-        primes_up_to(1 << 20)
+        # 2 * (10**17 + 3) tries the primes up to BASE alone, in the tree of
+        # 204 blocks and 8 levels, before the strong test proves the
+        # cofactor prime; a tree over the primes to 2**20 would hold 2,555
+        # blocks.
         split = spy_split(monkeypatch)
         start = time.perf_counter()
         assert prime_factors(2 * (10**17 + 3)) == ((2, 1), (10**17 + 3, 1))
@@ -614,37 +577,33 @@ class TestProductTree:
         for n in (q * r, q * q, past, 2 * past, q * past):
             assert prime_factors(n) == factor_loop(n), n
 
-    def test_the_last_cached_prime(self, cold_sieve, sieve_limit, factor_loop):
+    def test_the_last_cached_prime(self, cold_sieve, no_sieve, factor_loop):
         # With the base sieve (BASE = 2**16), the next three stop at its
         # last prime, 65521; 65521 * 65537 finds 65521 among the base
         # primes, which drops its stop below the base.
         for n in (4, 65521**2, 65519 * 65521, 2 * 65521**2, 65521 * 65537):
             assert prime_factors(n) == factor_loop(n), n
-            assert sieve_limit() == primes.BASE, n
 
     def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
         # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd for
         # block 0, then one per node of 64, 32, 8 and 2 blocks from block 1.
         # The flat run took 107 and the tree from block 0 took 11.
-        primes_up_to(10**5)
         calls = count_gcds(monkeypatch)
         assert prime_factors(LARGE_PRIME) == ((LARGE_PRIME, 1),)
         assert len(calls) <= 6
 
     def test_a_prime_near_10_to_12_takes_at_most_8_gcds(self, cold_sieve,
                                                         monkeypatch):
-        # The 6,542 base primes, however far the sieve reaches: block 0,
-        # then nodes of 128, 64, 8 and 4 blocks for blocks 1..204. With
-        # block 204 tried by a gcd of its own it took 7, a tree over all
-        # 78,498 primes up to 10**6 took 8, and one from block 0 took 18.
-        primes_up_to(10**6)
+        # The 6,542 base primes: block 0, then nodes of 128, 64, 8 and 4
+        # blocks for blocks 1..204. With block 204 tried by a gcd of its own
+        # it took 7, a tree over all 78,498 primes up to 10**6 took 8, and
+        # one from block 0 took 18.
         calls = count_gcds(monkeypatch)
         assert prime_factors(10**12 - 11) == ((10**12 - 11, 1),)
         assert len(calls) <= 5
 
     def test_a_cached_prime_takes_no_gcd(self, cold_sieve, monkeypatch):
         # Its flag answers, as for each order(2, p) of the FLT sweep.
-        primes_up_to(50000)
         calls = count_gcds(monkeypatch)
         assert prime_factors(49999) == ((49999, 1),)
         assert calls == []
@@ -652,7 +611,6 @@ class TestProductTree:
     def test_no_tree_below_the_square_of_137(self, cold_sieve):
         # 137 is the first prime past block 0, so n < 137**2 is settled by
         # the gcd with block 0's constant; 137**2 itself builds the tree.
-        primes_up_to(10**5)
         for n in range(2, 137**2):
             prime_factors(n)
         assert primes._block_tree is None
@@ -661,10 +619,10 @@ class TestProductTree:
 
     def test_import_leaves_the_base_sieve_and_no_tree(self):
         # The state cold_sieve resets to: a fresh process holds the base
-        # sieve as its shared snapshot, and no product tree.
+        # sieve, to BASE, and no product tree.
         src = os.path.dirname(os.path.dirname(primes.__file__))
         code = ("import fermatkit.primes as p;"
-                " print(p._shared is p._BASE, len(p._shared[0]) - 1, p._block_tree)")
+                " print(len(p._BASE[1]) == 6542, len(p._BASE[0]) - 1, p._block_tree)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert out.stdout == "True 65536 None\n"
@@ -678,26 +636,6 @@ class TestProductTree:
         for n in (10**12 - 11, 65521**2, 2 * (10**17 + 3)):
             prime_factors(n)
             assert primes._block_tree is tree, n
-
-    def test_trial_division_ignores_the_snapshot(self, cold_sieve, monkeypatch,
-                                                 factor_loop):
-        # With no flags, with the sieve to 1024, with the base sieve and
-        # with a sieve to 2**20, the same factors from the same gcds: trial
-        # division reads the base sieve and its tree alone. None of these n
-        # is a prime that a snapshot's flags answer.
-        cases = [65521**2, 65537**2, 65521 * 65537, *range(2**32 - 40, 2**32 + 41),
-                 10**12 - 11]
-        calls, runs = count_gcds(monkeypatch), []
-        for snapshot in ((b"", []), primes._sieve(1 << 10), primes._BASE,
-                         primes._sieve(1 << 20)):
-            monkeypatch.setattr(primes, "_shared", snapshot)
-            run = []
-            for n in cases:
-                calls.clear()
-                run.append((prime_factors(n), len(calls)))
-            runs.append(run)
-        assert runs[1:] == runs[:-1]
-        assert [factors for factors, _ in runs[0]] == list(map(factor_loop, cases))
 
 
 class TestPrimesInClasses:
@@ -765,7 +703,7 @@ class TestPrimesInClasses:
         def never(*args):
             raise AssertionError(f"ran with {args}")
 
-        for name in ("_sieve", "shared_primes", "class_segments"):
+        for name in ("_sieve", "class_segments"):
             monkeypatch.setattr(primes, name, never)
         with pytest.raises(ValueError, match="stops at 16777216 members"):
             primes_in_classes(isqrt(mersenne(80)), generalized_class(80))
@@ -845,6 +783,20 @@ class TestClassSegments:
         with pytest.raises(ValueError):
             next(class_segments(Empty()))
 
+    def test_a_walk_past_2_to_32_doubles_its_sieving_list(self, monkeypatch):
+        # 1 mod 2*10**6 to 2*10**10: the square roots of the segments that
+        # end at k = 4,672 and 10,000 pass BASE, at 96,671 and 141,421, so
+        # the walk takes one list to 131,072, twice BASE, then one to
+        # 262,144, twice that; sympy's isprime is the oracle.
+        isprime = pytest.importorskip("sympy").isprime
+        calls, primes_up_to = [], primes.primes_up_to
+        monkeypatch.setattr(primes, "primes_up_to",
+                            lambda limit: calls.append(limit) or primes_up_to(limit))
+        cls = CandidateClass(2 * 10**6, frozenset({1}), 2)
+        found = primes_in_classes(2 * 10**10, cls)
+        assert found == [n for n in range(1, 2 * 10**10 + 1, 2 * 10**6) if isprime(n)]
+        assert calls == [2 * primes.BASE, 4 * primes.BASE]
+
     def test_wide_modulus_stays_bounded(self, cold_sieve, class_walk):
         # Residues 1 and -1 mod 2*10**6: each segment sieves only their
         # members, two per k, not the 10**6 odd numbers per k that one
@@ -901,24 +853,22 @@ class TestClassSegments:
         assert list(itertools.chain.from_iterable(segments)) == expected
 
     # Every residue mod 210 has a member up to BASE at k = 311, whose last
-    # member is 65519, but not at k = 312.
-    @pytest.mark.parametrize("cls,limit", [
-        (euler_refined_class(31), 1 << 16), (generalized_class(2), 1 << 16),
-        (CandidateClass(210, frozenset(range(210)), 2), 311 * 210 + 209)],
+    # member is 65519, but only residues up to 16 at k = 312.
+    @pytest.mark.parametrize("cls", [
+        euler_refined_class(31), generalized_class(2),
+        CandidateClass(210, frozenset(range(210)), 2)],
         ids=["refined-31", "generalized-2", "all-mod-210"])
-    def test_walks_below_the_base_strike_nothing(self, cold_sieve, sieve_limit,
-                                                 class_walk, monkeypatch, cls, limit):
-        # From the import state a walk reads every member up to BASE from
-        # the base sieve's flags: it asks the shared sieve for nothing, no
-        # sieving prime is planned, which would take an inverse of the
-        # modulus, and none strikes.
-        calls = spy_shared_primes(monkeypatch)
+    def test_walks_below_the_base_strike_nothing(self, no_sieve, sieved, class_walk,
+                                                 monkeypatch, cls):
+        # A walk to BASE reads every member from the base sieve's flags: it
+        # builds no sieve, no sieving prime is planned, which would take an
+        # inverse of the modulus, and no segment is sieved.
         inverses = []
         monkeypatch.setattr(primes, "pow",
                             lambda *a: inverses.append(a) or pow(*a), raising=False)
+        limit = primes.BASE
         assert primes_in_classes(limit, cls) == list(class_walk(cls, limit))
-        assert calls == [] and inverses == []
-        assert sieve_limit() == primes.BASE
+        assert sieved == [] and inverses == []
 
     @pytest.mark.parametrize("cls", [euler_refined_class(61), generalized_class(116)],
                              ids=["refined-61", "generalized-116"])
@@ -934,85 +884,89 @@ class TestClassSegments:
             assert primes_in_classes(limit, cls) == expected, limit
 
 
-def spy_shared_primes(monkeypatch):
-    """The list of shared_primes limits asked for from here on."""
-    calls = []
-    shared_primes = primes.shared_primes
-    monkeypatch.setattr(primes, "shared_primes",
-                        lambda limit: calls.append(limit) or shared_primes(limit))
-    return calls
-
-
-# euler_refined_class(61): modulus 488, residues 1 and 367. A sieve to
-# k*488 + 367 holds the flags of every member up to k, and no further.
+# euler_refined_class(61): modulus 488, residues 1 and 367. Flags to
+# k*488 + 367 hold every member up to k, and no further.
 REFINED_61 = euler_refined_class(61)
 STRIDE_ONE = (CandidateClass(2, frozenset({0, 1}), 2),
               CandidateClass(6, frozenset({2, 3, 5}), 2),
               CandidateClass(10, frozenset({1, 5}), 2))
+# Where segments of 64, 512, 4,096, 32,768 and then 65,536 k values end.
+SEGMENT_ENDS = list(itertools.accumulate([64, 512, 4096, 32768] + [65536] * 4))
 
 
 class TestFlagPrefix:
-    # (class, sieve limit, walk limit), from the sieve to 1024: the
+    # (class, flags limit, walk limit), with the flags cut below BASE: the
     # k values whose members all have flags end inside the first segment
-    # of 64 k values (at 10), at the ends of the first and second (64,
-    # 576), between the two residues of k = 100, or past the walk's limit.
-    # For the stride-1 classes a sieve to 1024 ends them at k = 512, 170
-    # and 102, in the second segment, and one to 10**4 + 7 at 5,004, 1,668
-    # and 1,001. The base sieve, to 65536, ends refined-61's at k = 134, in
-    # the second segment.
+    # of 64 k values (at 10), at the end of the first (64) or, for 1 and
+    # 99 mod 100, of the second (576), between the two residues of
+    # k = 100, or past the walk's limit. For the stride-1 classes flags to
+    # 1024 end them at k = 512, 170 and 102, in the second segment, and
+    # flags to 10**4 + 7 at 5,004, 1,668 and 1,001.
     CUTS = [(REFINED_61, 5000, None), (REFINED_61, 63 * 488 + 367, None),
-            (REFINED_61, 575 * 488 + 367, None), (REFINED_61, 100 * 488 + 100, None),
+            (CandidateClass(100, frozenset({1, 99}), 2), 575 * 100 + 99, None),
+            (REFINED_61, 100 * 488 + 100, None),
             (REFINED_61, 50000, 10**4), (REFINED_61, 50000, 10**6)]
     CUTS += [(cls, limit, None) for cls in STRIDE_ONE for limit in (1024, 10**4 + 7)]
     CUTS += [(cls, 10**4, 5000) for cls in STRIDE_ONE]
 
     @pytest.mark.parametrize("cls,sieve,limit", CUTS)
-    def test_matches_the_walk(self, sieve_1024, sieve_limit, class_walk,
-                              monkeypatch, cls, sieve, limit):
-        self.check_walk(sieve_limit, class_walk, monkeypatch, cls, sieve, limit)
+    def test_matches_the_walk(self, sieved, class_walk, monkeypatch, cls, sieve,
+                              limit):
+        flags_to(monkeypatch, sieve)
+        self.check_walk(sieved, class_walk, cls, sieve, limit)
 
     @pytest.mark.parametrize("limit", [None, 10**4, 10**6])
-    def test_matches_the_walk_from_the_base(self, cold_sieve, sieve_limit,
-                                            class_walk, monkeypatch, limit):
-        self.check_walk(sieve_limit, class_walk, monkeypatch, REFINED_61,
-                        primes.BASE, limit)
+    def test_matches_the_walk_from_the_base(self, sieved, class_walk, limit):
+        self.check_walk(sieved, class_walk, REFINED_61, primes.BASE, limit)
 
     @staticmethod
-    def check_walk(sieve_limit, class_walk, monkeypatch, cls, sieve, limit):
-        primes_up_to(sieve)
-        assert sieve_limit() == sieve
-        calls = spy_shared_primes(monkeypatch)
+    def check_walk(sieved, class_walk, cls, sieve, limit):
         bound = 4 * sieve if limit is None else limit
         walked = itertools.takewhile(lambda p: p <= bound, flatten_segments(cls, limit))
         assert list(walked) == list(class_walk(cls, bound))
-        # Only a walk that passes the flags asks the shared sieve for more.
-        assert (calls == []) == (limit is not None and limit <= sieve)
+        # Only a walk that passes the flags sieves a segment.
+        assert (sieved == []) == (limit is not None and limit <= sieve)
 
-    # Sent stops below, at and past the last member with a flag, 299*488 +
-    # 367: after the first segment, the next ends at the stop's k, 200, 299
-    # or 400, and is cut where the flags end at k = 300. The first sieved
-    # segment then ends at k = 364, 64 past the prefix, or at k = 401.
+    # The base flags, to BASE = 2**16, end each class's read at
+    # (BASE - largest residue) // modulus + 1, placed by the modulus:
+    # refined-61 at k = 134, in the second segment; generalized_class(1009),
+    # 1 mod 2018, at 33, in the first; 1 mod 1040 at 64, the end of the
+    # first; the stride-1 classes at 32,768, 10,922 and 6,554. The first
+    # sieved segment then runs from there to its schedule's end, one
+    # bytearray per residue.
+    @pytest.mark.parametrize("cls,read", [
+        (REFINED_61, 134), (generalized_class(1009), 33), (generalized_class(1040), 64),
+        *zip(STRIDE_ONE, (32768, 10922, 6554))],
+        ids=["refined-61", "generalized-1009", "mod-1040", "stride-1-mod-2",
+             "stride-1-mod-6", "stride-1-mod-10"])
+    def test_cuts_by_modulus(self, no_sieve, sieved, class_walk, cls, read):
+        assert (primes.BASE - max(cls.residues)) // cls.modulus + 1 == read
+        segments, flat = class_segments(cls), []
+        while not sieved:
+            flat += next(segments)
+        end = next(e for e in SEGMENT_ENDS if e > read)
+        assert sieved == [end - read] * len(cls.residues)
+        assert max(p // cls.modulus for p in flat) < end
+        assert flat == list(itertools.islice(class_walk(cls), len(flat)))
+
+    # Sent stops below, at and past the last member with a flag, 133*488 +
+    # 367: after the first segment, the next ends at the stop's k, 100,
+    # 133 or 200, and is cut where the flags end at k = 134. The first
+    # sieved segment then ends at k = 198, 64 past the prefix, or at 201.
     @pytest.mark.parametrize("stop,sieved_to", [
-        (200 * 488 + 1, None), (299 * 488 + 367, 364), (400 * 488 + 1, 401)],
+        (100 * 488 + 1, None), (133 * 488 + 367, 198), (200 * 488 + 1, 201)],
         ids=["below", "at", "past"])
-    def test_sent_stops(self, cold_sieve, class_walk, monkeypatch, stop, sieved_to):
-        primes_up_to(299 * 488 + 367)
-        flags = primes._shared[0]
-        held = sys.getrefcount(flags)
-        calls = spy_shared_primes(monkeypatch)
+    def test_sent_stops(self, no_sieve, sieved, class_walk, stop, sieved_to):
         segments = class_segments(REFINED_61)
         flat = next(segments)
-        assert sys.getrefcount(flags) == held + 1  # the walk reads them
         while flat[-1] <= stop:
             flat += segments.send(stop)
         assert flat == list(class_walk(REFINED_61, flat[-1]))
         assert len([p for p in flat if p > stop]) <= 2 * primes._FIRST_SEGMENT
         if sieved_to is None:
-            assert calls == []
-            assert sys.getrefcount(flags) == held + 1
+            assert sieved == []
         else:
-            assert calls[0] == math.isqrt((sieved_to - 1) * 488 + 367)
-            assert sys.getrefcount(flags) == held  # dropped past the prefix
+            assert sieved == [sieved_to - 134] * 2
 
 
 def test_inverts_the_modulus_once_per_prime(cold_sieve, monkeypatch):
@@ -1063,21 +1017,14 @@ def test_sent_stops_move_only_where_segments_end(cold_sieve, class_walk):
     check()
 
 
-def test_the_sieve_stops_at_its_ceiling(sieve_1024, sieve_limit, monkeypatch):
-    # Past MAX_SIEVE nothing is sieved; below it growth doubles, here from
-    # the sieve to 1024, but no further than MAX_SIEVE, here lowered to 3000.
+def test_the_sieve_stops_at_its_ceiling(monkeypatch):
+    # Past MAX_SIEVE nothing is sieved, here with MAX_SIEVE lowered to 3000.
     with pytest.raises(ValueError, match="stops at"):
         primes_up_to(primes.MAX_SIEVE + 1)
-    assert sieve_limit() == 1024
     monkeypatch.setattr(primes, "MAX_SIEVE", 3000)
-    primes_up_to(2000)
-    assert sieve_limit() == 2048
-    primes_up_to(2049)
-    assert sieve_limit() == 3000
     assert primes_up_to(3000) == [p for p in range(3001) if brute_is_prime(p)]
     with pytest.raises(ValueError, match="stops at 3000, got 3001"):
         primes_up_to(3001)
-    assert sieve_limit() == 3000
 
 
 def test_cache_growth_is_consistent():
@@ -1087,11 +1034,8 @@ def test_cache_growth_is_consistent():
     assert primes_up_to(100) == small
 
 
-def test_smooth_numbers_leave_the_sieve_small(cold_sieve, sieve_limit):
-    # From the import state: 2**44 loses its only prime at once, so nothing
-    # past the base sieve (BASE = 2**16) is needed, not isqrt(2**44) =
-    # 4,194,304.
+def test_smooth_numbers_leave_the_sieve_small(cold_sieve, no_sieve):
+    # 2**44 loses its only prime at once, so nothing past the base sieve
+    # (BASE = 2**16) is needed, not isqrt(2**44) = 4,194,304.
     assert prime_factors(2**44) == ((2, 44),)
-    assert sieve_limit() <= primes.BASE
     assert order(3, 2**44).order == 2**42
-    assert sieve_limit() <= primes.BASE
