@@ -19,6 +19,7 @@ from .forms import (
     CandidateClass,
     euler_refined_class,
     generalized_class,
+    primitive_class,
     qr2,
     sophie_germain_divisor,
     third_proposition_class,
@@ -68,6 +69,7 @@ __all__ = [
     "CandidateClass",
     "euler_refined_class",
     "generalized_class",
+    "primitive_class",
     "qr2",
     "sophie_germain_divisor",
     "third_proposition_class",

@@ -20,7 +20,7 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .forms import euler_refined_class, generalized_class
+from .forms import generalized_class, primitive_class
 from .kernel import Record, divisors, isqrt
 from .mersenne import mersenne
 from .primes import class_segments, is_prime, prime_factors
@@ -102,8 +102,9 @@ def factor_mersenne(n, budget=None, refined=True):
 
     budget caps the largest candidate value tried in the restricted
     scan (default: the square root of the running cofactor, i.e. run to
-    completion). refined selects the quadratic-character classes for odd
-    prime n; the plain 1-mod-2n class is used otherwise.
+    completion). refined selects ``forms.primitive_class(n)``, halved by
+    the quadratic character of 2 for every n not 0 mod 4; otherwise the
+    plain class 1 mod n (mod 2n for odd n) is used.
     """
     if n < 2:
         raise ValueError(f"factor_mersenne requires n >= 2, got {n}")
@@ -146,10 +147,7 @@ def _factor_mersenne_uncached(n, budget, refined):
 
     status = COMPLETE
     if cofactor > 1:
-        if refined and n % 2 == 1 and is_prime(n):
-            cls = euler_refined_class(n)
-        else:
-            cls = generalized_class(n)
+        cls = primitive_class(n) if refined else generalized_class(n)
         status, cofactor = _class_scan(cofactor, cls, budget, steps, counts)
 
     factors = tuple(sorted((p, e) for p, e in counts.items()))

@@ -1,9 +1,10 @@
 """Residue classes that confine the possible prime divisors of 2**q - 1.
 
-For an odd prime exponent q every prime divisor is 1 mod 2q; for
-composite q the same holds mod q (mod 2q when q is odd) for primes not
-already accounted for by smaller exponents. The quadratic-character
-refinement intersects with +-1 mod 8 and halves the candidate density.
+A primitive prime divisor of 2**q - 1, one that divides no 2**d - 1 for
+a proper divisor d of q, is 1 mod q (mod 2q when q is odd); for an odd
+prime q every prime divisor is primitive. The quadratic character of 2
+halves that class for every q not 0 mod 4: such a prime is +-1 mod 8
+for odd q, 1 or 3 mod 8 for q = 2 mod 4.
 """
 
 from collections import namedtuple
@@ -62,16 +63,31 @@ def qr2(q):
     return modpow(2, (q - 1) // 2, q) == 1
 
 
-def euler_refined_class(q):
-    """Intersect 1 mod 2q with +-1 mod 8: two residues mod 8q.
+def primitive_class(q):
+    """The class of the primitive prime divisors of 2**q - 1, q >= 2.
 
-    The members of [1, 8q) that are 1 mod 2q are 1, 1 + 2q, 1 + 4q and
-    1 + 6q, one in each odd class mod 8 since q is odd; the two that are
-    +-1 mod 8 are kept.
+    2 has order q mod such a prime p, so q | p - 1 and p = 1 mod 2h, with
+    h = q for odd q and h = q/2 otherwise. For odd q, 2 = (2**((q+1)/2))**2
+    is a square mod p, so p = +-1 mod 8; for q = 2 mod 4, 2**h = -1 mod p
+    with h odd, so -2 is a square and p = 1 or 3 mod 8. Then h is odd, and
+    the members of [1, 8h) that are 1 mod 2h, 1, 1 + 2h, 1 + 4h and 1 + 6h,
+    lie one in each odd class mod 8: the two in those classes are kept,
+    two residues mod 8h. For q = 0 mod 4 it is ``generalized_class(q)``.
     """
+    if q < 2:
+        raise ValueError(f"primitive_class requires q >= 2, got {q}")
+    if q % 4 == 0:
+        return generalized_class(q)
+    h, kept = (q, (1, 7)) if q % 2 else (q // 2, (1, 3))
+    residues = frozenset(r for r in range(1, 8 * h, 2 * h) if r % 8 in kept)
+    return CandidateClass(8 * h, residues, q)
+
+
+def euler_refined_class(q):
+    """Intersect 1 mod 2q with +-1 mod 8, for an odd prime q: two residues
+    mod 8q, ``primitive_class(q)``."""
     _check_odd_prime(q, "euler_refined_class")
-    residues = frozenset(r for r in range(1, 8 * q, 2 * q) if r % 8 in (1, 7))
-    return CandidateClass(8 * q, residues, q)
+    return primitive_class(q)
 
 
 def sophie_germain_divisor(p):

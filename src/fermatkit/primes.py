@@ -23,8 +23,9 @@ Brent's rho, with a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 reads each residue's progression from the base flags as far as they
-reach, then sieves it a segment at a time, and merges the residues; a
-scan sends it where the scan stops. Segments grow 8x from 64 k values up
+reach, then sieves a segment at a time, one sieve for the progression
+the residues share when it is at most half outside them, and merges the
+residues; a scan sends it where the scan stops. Segments grow 8x from 64 k values up
 to a cap, and each sieving prime carries a running offset, the next
 member it strikes, from segment to segment (the segmented sieve for
 arithmetic progressions of Bays and Hudson, BIT 17, 1977).
@@ -279,21 +280,25 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Each residue r is its own progression r + k*m. Up to the last k whose
-    members all have base flags, every k when limit <= BASE, a segment is
-    read from the flags by a strided slice; past it, it is sieved, and
-    each sieving prime strikes one progression of k in it. The sieving
-    primes are the base primes; only a walk past BASE**2 takes more, from
-    one ``primes_up_to`` list that doubles as the walk needs it. The
-    segment's per-residue lists are merged. The walk stops past limit, if
-    any. Each residue keeps its own plan entry per sieving prime: the
-    library's classes have one or two residues, but the 480 units mod 2310
-    take about 2.3 s to 10**8 on a 2-core host.
+    Residue r's members are r + k*m. Up to the last k whose members all
+    have base flags, every k when limit <= BASE, a segment reads each
+    residue from the flags by a strided slice. Past it, one sieve per
+    segment holds the progression r0 + j*base that every residue lies on,
+    where r0 is the least residue, base = gcd(m, r - r0 for each r) and
+    s = m // base: s*(k1 - k0) bytes, from which residue r is the strided
+    slice from (r - r0) // base by s. When s > 2 * len(residues), as for
+    +-1 mod 2*10**6, most of that progression is in no residue, and each
+    residue is a group of its own, with base = m and s = 1. Each sieving
+    prime keeps at most one entry per group, a stride and the next j it
+    strikes; the sieving primes are the base primes, and only a walk past
+    BASE**2 takes more, from one ``primes_up_to`` list that doubles as the
+    walk needs it. The segment's per-residue lists are merged. The walk
+    stops past limit, if any.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it.
-    A sieving prime's offset is found once, when a sieved segment first
-    reaches its square; each segment carries it past its end.
+    A sieving prime's entries are made once, when a sieved segment first
+    reaches its square; each segment carries them past its end.
 
     A scan may send where it stops: the next segment then ends at the last
     k whose least member is at most that, but spans _FIRST_SEGMENT k values
@@ -308,11 +313,7 @@ def class_segments(classes, limit=None):
     # The k values below read have every member's flag in the base sieve.
     (flags, primes), top = _BASE, BASE  # sieving primes up to top
     read = (BASE - residues[-1]) // m + 1 if cap > BASE + 1 else math.inf
-    # Sieving prime p strikes each k with p | r + k*m from the first member
-    # >= p*p; its entry [p, k] in r's plan holds the next k it strikes. If
-    # p | m, p strikes every member (stride 1) when p | r, none otherwise.
-    plans = [[] for _ in residues]
-    planned, k0, end, size, stop = 0, 0, 0, _FIRST_SEGMENT, None
+    groups, planned, k0, end, size, stop = None, 0, 0, 0, _FIRST_SEGMENT, None
     while k0 * m + residues[0] < cap:
         if k0 == end:  # the next segment of the schedule
             n = size if stop is None else min(
@@ -320,44 +321,58 @@ def class_segments(classes, limit=None):
             if limit is not None:
                 n = min(n, (limit - residues[0]) // m + 1 - k0)
             end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
-        sieved = k0 >= read
-        if not sieved:  # cut where the flags end
+        if k0 < read:  # cut where the flags end
             k1 = min(end, read)
+            lists = []
+            for r in residues:
+                members = range(k0 * m + r, min(k1 * m + r, cap), m)
+                lists.append(list(itertools.compress(
+                    members, flags[members.start : members.stop : m])))
         else:
             k1 = end
+            if groups is None:  # (r0, offsets, plan) per shared progression
+                base = math.gcd(m, *(r - residues[0] for r in residues))
+                s = m // base
+                if s > 2 * len(residues):
+                    base, s = m, 1
+                    groups = [(r, [0], []) for r in residues]
+                else:
+                    groups = [(residues[0], [(r - residues[0]) // base
+                                             for r in residues], [])]
             root = math.isqrt((k1 - 1) * m + residues[-1])
             if root > top:  # a walk past top**2: at least double the list
                 top = max(root, min(2 * top, MAX_SIEVE))
                 primes = primes_up_to(top)
             count = bisect.bisect_right(primes, root)
             for p in itertools.islice(primes, planned, count):
-                inverse = pow(m, -1, p) if m % p else 0  # one per prime
-                for r, plan in zip(residues, plans):
-                    # from the first member >= p*p, but not before this segment
-                    k = max(k0, -((r - p * p) // m))
+                # Sieving prime p strikes each j with p | r0 + j*base from
+                # the first member >= p*p, but not before this segment: its
+                # entry [p, j] holds the next. If p | base, p strikes every
+                # member (stride 1) when p | r0, none otherwise.
+                inverse = pow(base, -1, p) if base % p else 0  # one per prime
+                for r0, _, plan in groups:
+                    j = max(k0 * s, -((r0 - p * p) // base))
                     if inverse:
-                        plan.append([p, k + (-r * inverse - k) % p])
-                    elif r % p == 0:
-                        plan.append([1, k])
+                        plan.append([p, j + (-r0 * inverse - j) % p])
+                    elif r0 % p == 0:
+                        plan.append([1, j])
             planned = count
-        lists = []
-        for r, plan in zip(residues, plans):
-            members = range(k0 * m + r, min(k1 * m + r, cap), m)
-            if not sieved:
-                sieve = flags[members.start : members.stop : m]
-            else:
-                width = len(members)
+            lists, width = [], s * (k1 - k0)
+            for r0, offsets, plan in groups:
                 sieve = bytearray([1]) * width
-                if members and members[0] < 2:  # 0 and 1 are not prime
-                    sieve[0] = 0
+                low = len(range(k0 * m + r0, 2, base))  # 0 and 1 are not prime
+                sieve[:low] = bytes(low)
                 for entry in plan:
-                    i = entry[1] - k0
+                    i = entry[1] - k0 * s
                     if i < width:
                         p = entry[0]
                         strikes = (width - 1 - i) // p + 1
                         sieve[i::p] = bytes(strikes)
                         entry[1] += strikes * p
-            lists.append(list(itertools.compress(members, sieve)))
+                for t in offsets:
+                    r = r0 + t * base
+                    lists.append(list(itertools.compress(
+                        range(k0 * m + r, min(k1 * m + r, cap), m), sieve[t::s])))
         stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
         k0 = k1
 

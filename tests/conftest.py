@@ -100,9 +100,9 @@ def no_sieve(monkeypatch):
 
 @pytest.fixture
 def sieved(monkeypatch):
-    """The widths of the class-walk segments sieved from here on, one per
-    residue: each starts as bytearray([1]) * width, where a segment read
-    from the base flags is sliced from them."""
+    """The widths of the class-walk sieves made from here on, one per
+    progression of a sieved segment: each starts as bytearray([1]) * width,
+    where a segment read from the base flags is sliced from them."""
     from fermatkit import primes
 
     widths = []

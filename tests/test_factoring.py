@@ -19,6 +19,7 @@ from fermatkit.factoring import (
     factor_nat,
     verify,
 )
+from fermatkit.forms import primitive_class
 from fermatkit.kernel import isqrt
 from fermatkit.mersenne import mersenne, order
 
@@ -88,6 +89,16 @@ class TestFactorMersenne:
             assert refined.factors == plain.factors
 
 
+    def test_refined_matches_unrefined_to_128(self, cold_memo):
+        # The benchmark's exponents and M122, at its budget: the narrower
+        # classes of composite n find the same factors and stop in the
+        # same state.
+        for n in range(2, 129):
+            refined, _ = factor_mersenne(n, 10**7, refined=True)
+            plain, _ = factor_mersenne(n, 10**7, refined=False)
+            assert refined == plain, n
+
+
 class TestTrace:
     def test_propagated_factors_have_dividing_order(self):
         for n in range(2, 41):
@@ -118,6 +129,16 @@ class TestTrace:
                 if step.rule in (PROPAGATED, CANDIDATE_HIT, COFACTOR_PRIME):
                     product *= step.value**step.multiplicity
             assert product == fact.value
+
+    def test_candidates_lie_in_the_primitive_class(self):
+        # Every n but 0 mod 4 scans two residues mod 8h, h = n or n/2:
+        # M55's first candidate is 881, not 331 or 661, which are 1 mod 110
+        # but 3 and 5 mod 8.
+        assert factor_mersenne(55)[1].candidates_tried()[:2] == [881, 991]
+        for n in range(2, 71):
+            cls = primitive_class(n)
+            tried = factor_mersenne(n, budget=10**5)[1].candidates_tried()
+            assert all(c % cls.modulus in cls.residues for c in tried), n
 
     def test_m37_unrefined_candidate_sequence(self):
         _, trace = factor_mersenne(37, refined=False)
@@ -245,10 +266,10 @@ class TestClassSieveScan:
         # yielded over tried primes is bounded only for scans whose stop
         # no hit lowered. A segment that started a bytearray was sieved;
         # one that did not was read from the base sieve's flags. From the
-        # base sieve, to BASE = 2**16, segments growing 8x sieve 183
-        # segments and read 274; from a sieve to 1024 they sieved 300, and
-        # with none read, 404 (4x growth 454, doubling 613). The bound keeps
-        # the schedule, the flag read and the base sieve's reach there.
+        # base sieve, to BASE = 2**16, segments growing 8x sieve 170
+        # segments and read 262; from flags to 1024 they sieve 288, and
+        # with none read, 379. The bound keeps the schedule, the flag read
+        # and the base sieve's reach there.
         scan, segments, scans = factoring._class_scan, factoring.class_segments, []
 
         def counted_segments(classes):

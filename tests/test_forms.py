@@ -5,6 +5,7 @@ from fermatkit.forms import (
     CandidateClass,
     euler_refined_class,
     generalized_class,
+    primitive_class,
     qr2,
     sophie_germain_divisor,
     third_proposition_class,
@@ -113,6 +114,43 @@ class TestEulerRefinedClass:
     def test_rejects_composites(self):
         with pytest.raises(ValueError):
             euler_refined_class(15)
+
+
+class TestPrimitiveClass:
+    def test_two_residues_mod_8h_unless_0_mod_4(self):
+        # h = n for odd n and n/2 for n = 2 mod 4: two of the four members
+        # of [1, 8h) that are 1 mod 2h, 1 among them.
+        for n in range(2, 1000):
+            cls = primitive_class(n)
+            assert cls.target_exponent == n
+            if n % 4 == 0:
+                assert cls == generalized_class(n)
+                continue
+            h = n if n % 2 else n // 2
+            assert cls.modulus == 8 * h
+            assert len(cls.residues) == 2 and 1 in cls.residues
+            assert all(r % (2 * h) == 1 for r in cls.residues)
+
+    def test_every_primitive_prime_lies_in_the_class(self):
+        # sympy factors 2**n - 1 and gives each prime's order of 2, the
+        # primes of order n being the primitive ones. Every n <= 64 has one
+        # but 6 (Zsigmondy, 1892).
+        sympy = pytest.importorskip("sympy")
+        for n in range(2, 65):
+            cls = primitive_class(n)
+            primitive = [q for q in sympy.factorint(mersenne(n))
+                         if sympy.n_order(2, q) == n]
+            assert primitive or n == 6
+            for q in primitive:
+                assert q % cls.modulus in cls.residues, (n, q)
+
+    def test_odd_primes_get_the_refined_class(self):
+        for q in primes_up_to(1000)[1:]:
+            assert primitive_class(q) == euler_refined_class(q)
+
+    def test_small_rejected(self):
+        with pytest.raises(ValueError):
+            primitive_class(1)
 
 
 class TestSophieGermainDivisor:

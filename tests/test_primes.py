@@ -852,6 +852,52 @@ class TestClassSegments:
         assert expected[:2] == [7, 11]
         assert list(itertools.chain.from_iterable(segments)) == expected
 
+    def test_a_dense_class_sieves_one_progression(self, sieved, class_walk):
+        # The 8 units mod 30 lie on the odd numbers 1 + 2j, s = 15 <= 2*8:
+        # a sieved segment is one sieve of 15 bytes per k, each unit a
+        # strided slice of it. The flags end at k = 2,184 and the limit
+        # 10**6 at 33,334, so five segments, the last two sieved, each the
+        # walk's primes in its k values.
+        units = frozenset(r for r in range(30) if math.gcd(r, 30) == 1)
+        cls = CandidateClass(30, units, 2)
+        segments = list(class_segments(cls, 10**6))
+        ends = [0, 64, 576, 2184, 4672, 33334]
+        walk = list(class_walk(cls, 10**6))
+        assert segments == [[p for p in walk if a <= p // 30 < b]
+                            for a, b in zip(ends, ends[1:])]
+        assert sieved == [15 * (4672 - 2184), 15 * (33334 - 4672)]
+
+    @pytest.mark.parametrize("cls,spans", [
+        (CandidateClass(70000, frozenset(range(70000)), 2), [70000]),
+        (CandidateClass(2 * 10**5, frozenset({1, 10**5 + 1}), 2), [2]),
+        (CandidateClass(2 * 10**5, frozenset({0, 1, 10**5 + 3}), 2), [1, 1, 1])],
+        ids=["all-mod-70000", "two-mod-2e5", "three-mod-2e5"])
+    def test_sieves_from_k_0(self, sieved, class_walk, cls, spans):
+        # A largest residue past BASE puts the first sieved segment at
+        # k = 0, where a progression may start at 0 or 1, neither prime:
+        # every integer (s = 70,000), 1 + 10**5 j (s = 2), or, with s
+        # past twice the residues, 0, 1 and 100,003 mod 2*10**5 on their own.
+        limit = 10**6 + 3
+        assert primes_in_classes(limit, cls) == list(class_walk(cls, limit))
+        assert sieved == [s * (limit // cls.modulus + 1) for s in spans]
+
+    def test_one_sieve_per_segment_for_refined_127(self, no_sieve, sieved,
+                                                    class_walk):
+        # euler_refined_class(127): 1 and 255 mod 1016 lie on 1 + 254j, four
+        # members per k. The flags end at k = 65, inside the second
+        # segment; each segment past it is one sieve of 4 bytes per k, not
+        # one per residue.
+        cls = euler_refined_class(127)
+        assert cls.residues == {1, 255} and (primes.BASE - 255) // 1016 + 1 == 65
+        segments, flat, counts = class_segments(cls), [], []
+        for _ in range(5):
+            flat += next(segments)
+            counts.append(len(sieved))
+        assert counts == [0, 0, 1, 2, 3]
+        ends = [65, *SEGMENT_ENDS[1:4]]
+        assert sieved == [4 * (b - a) for a, b in zip(ends, ends[1:])]
+        assert flat == list(itertools.islice(class_walk(cls), len(flat)))
+
     # Every residue mod 210 has a member up to BASE at k = 311, whose last
     # member is 65519, but only residues up to 16 at k = 312.
     @pytest.mark.parametrize("cls", [
@@ -933,26 +979,32 @@ class TestFlagPrefix:
     # 1 mod 2018, at 33, in the first; 1 mod 1040 at 64, the end of the
     # first; the stride-1 classes at 32,768, 10,922 and 6,554. The first
     # sieved segment then runs from there to its schedule's end, one
-    # bytearray per residue.
-    @pytest.mark.parametrize("cls,read", [
-        (REFINED_61, 134), (generalized_class(1009), 33), (generalized_class(1040), 64),
-        *zip(STRIDE_ONE, (32768, 10922, 6554))],
+    # bytearray of s bytes per k for each progression: refined-61's two
+    # residues lie on 1 + 122j, s = 4; (2, {0, 1}) and (6, {2, 3, 5}) on
+    # every integer, s = 2 and 6; 1 and 5 mod 10 lie on 1 + 2j, s = 5 > 2*2,
+    # so each is its own progression, s = 1, as a lone residue is.
+    @pytest.mark.parametrize("cls,read,spans", [
+        (REFINED_61, 134, [4]), (generalized_class(1009), 33, [1]),
+        (generalized_class(1040), 64, [1]),
+        *zip(STRIDE_ONE, (32768, 10922, 6554), ([2], [6], [1, 1]))],
         ids=["refined-61", "generalized-1009", "mod-1040", "stride-1-mod-2",
              "stride-1-mod-6", "stride-1-mod-10"])
-    def test_cuts_by_modulus(self, no_sieve, sieved, class_walk, cls, read):
+    def test_cuts_by_modulus(self, no_sieve, sieved, class_walk, cls, read, spans):
         assert (primes.BASE - max(cls.residues)) // cls.modulus + 1 == read
         segments, flat = class_segments(cls), []
         while not sieved:
             flat += next(segments)
         end = next(e for e in SEGMENT_ENDS if e > read)
-        assert sieved == [end - read] * len(cls.residues)
+        assert sieved == [s * (end - read) for s in spans]
         assert max(p // cls.modulus for p in flat) < end
         assert flat == list(itertools.islice(class_walk(cls), len(flat)))
 
     # Sent stops below, at and past the last member with a flag, 133*488 +
     # 367: after the first segment, the next ends at the stop's k, 100,
     # 133 or 200, and is cut where the flags end at k = 134. The first
-    # sieved segment then ends at k = 198, 64 past the prefix, or at 201.
+    # sieved segment then ends at k = 198, 64 past the prefix, or at 201:
+    # one sieve of 4 bytes per k, the progression 1 + 122j that holds
+    # both residues.
     @pytest.mark.parametrize("stop,sieved_to", [
         (100 * 488 + 1, None), (133 * 488 + 367, 198), (200 * 488 + 1, 201)],
         ids=["below", "at", "past"])
@@ -966,7 +1018,7 @@ class TestFlagPrefix:
         if sieved_to is None:
             assert sieved == []
         else:
-            assert sieved == [sieved_to - 134] * 2
+            assert sieved == [4 * (sieved_to - 134)]
 
 
 def test_inverts_the_modulus_once_per_prime(cold_sieve, monkeypatch):
