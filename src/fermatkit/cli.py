@@ -14,7 +14,7 @@ import sys
 
 from . import render
 from .factoring import factor_mersenne
-from .forms import euler_refined_class, generalized_class
+from .forms import generalized_class, primitive_class
 from .kernel import isqrt
 from .mersenne import flt_sweep, mersenne, order
 from .perfect import frenicle_scan
@@ -102,7 +102,7 @@ def _cmd_verify_flt(args):
 
 
 def _cmd_candidates(args):
-    cls = euler_refined_class(args.q) if args.refined else generalized_class(args.q)
+    cls = primitive_class(args.q) if args.refined else generalized_class(args.q)
     limit = args.limit if args.limit is not None else isqrt(mersenne(args.q))
     found = primes_in_classes(limit, cls)
     sys.stdout.writelines(render.candidates_lines(args.q, cls, limit, found))

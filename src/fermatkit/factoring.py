@@ -14,8 +14,8 @@ each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)
 steps and its shape does not depend on where segments end.
 """
 
-import _thread
 import bisect
+import functools
 import itertools
 import operator
 from collections import namedtuple
@@ -87,14 +87,9 @@ def factor_nat(n):
     return Factorization(n, prime_factors(n), COMPLETE)
 
 
-_memo = {}
-_memo_lock = _thread.allocate_lock()
-
-
 def clear_cache():
     """Drop memoized factorizations (test isolation hook)."""
-    with _memo_lock:
-        _memo.clear()
+    _complete.cache_clear()
 
 
 def factor_mersenne(n, budget=None, refined=True):
@@ -104,22 +99,23 @@ def factor_mersenne(n, budget=None, refined=True):
     scan (default: the square root of the running cofactor, i.e. run to
     completion). refined selects ``forms.primitive_class(n)``, halved by
     the quadratic character of 2 for every n not 0 mod 4; otherwise the
-    plain class 1 mod n (mod 2n for odd n) is used.
+    plain class 1 mod n (mod 2n for odd n) is used. Unbudgeted results are
+    cached, and the proper divisors are factored by the refined class
+    either way: a complete factorization has the same primes whichever
+    class found them.
     """
     if n < 2:
         raise ValueError(f"factor_mersenne requires n >= 2, got {n}")
-    key = (n, refined)
     if budget is None:
-        with _memo_lock:
-            if key in _memo:
-                return _memo[key]
-    elif budget < 1:
+        return _complete(n, refined)
+    if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    result = _factor_mersenne_uncached(n, budget, refined)
-    if budget is None:
-        with _memo_lock:
-            _memo.setdefault(key, result)
-    return result
+    return _factor_mersenne_uncached(n, budget, refined)
+
+
+@functools.cache
+def _complete(n, refined):
+    return _factor_mersenne_uncached(n, None, refined)
 
 
 def _factor_mersenne_uncached(n, budget, refined):
@@ -134,7 +130,7 @@ def _factor_mersenne_uncached(n, budget, refined):
     for d in divisors(n):
         if d == 1 or d == n:
             continue
-        sub, _ = factor_mersenne(d, None, refined)
+        sub, _ = factor_mersenne(d)
         for p, _e in sub.factors:
             inherited.setdefault(p, d)
     for p in sorted(inherited):

@@ -33,6 +33,7 @@ arithmetic progressions of Bays and Hudson, BIT 17, 1977).
 """
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -126,22 +127,19 @@ def is_prime(n):
 # faster than 16, 128 or 256. Block 0, 2..131, is one constant.
 _BLOCK = 32
 _FIRST_BLOCK = math.prod(_BASE[1][:_BLOCK])
-# _block_tree[L][j] is the product of blocks 1 + j*2**L .. (j + 1)*2**L of
-# the base primes, or None before the first n that reaches block 1.
-_block_tree = None
 
 
+@functools.cache
 def _tree():
     """The product tree over the 204 base blocks after block 0, the last
-    of them the 14 primes 65,371..65,521, built whole. One assignment
-    publishes it, with no lock: any two builds are equal."""
-    global _block_tree
+    of them the 14 primes 65,371..65,521: node j of level L is the product
+    of blocks 1 + j*2**L .. (j + 1)*2**L, up to one root. Built whole at
+    the first n that reaches block 1, and cached."""
     primes = _BASE[1]
     tree = [[math.prod(primes[k : k + _BLOCK])
              for k in range(_BLOCK, len(primes), _BLOCK)]]
     while len(tree[-1]) > 1:
         tree.append([a * b for a, b in zip(tree[-1][::2], tree[-1][1::2])])
-    _block_tree = tree
     return tree
 
 
@@ -162,7 +160,7 @@ def _divide_out(n, factors):
         if not i:
             g = math.gcd(n, _FIRST_BLOCK)
         else:  # tree positions x .. stop - 1 hold blocks x + 1 .. stop
-            tree = _block_tree or _tree()
+            tree = _tree()
             root = bisect.bisect_right(primes, math.isqrt(n), i)
             x, stop = i // _BLOCK - 1, (root - 1) // _BLOCK
             while x < stop:

@@ -73,16 +73,13 @@ def trial_division_is_prime(n):
 
 
 @pytest.fixture
-def cold_sieve(monkeypatch):
+def cold_sieve():
     """No trial-division product tree, as import leaves it. The fixture's
-    value, called, resets it again."""
+    value, called, clears it again."""
     from fermatkit import primes
 
-    def reset():
-        monkeypatch.setattr(primes, "_block_tree", None)
-
-    reset()
-    return reset
+    primes._tree.cache_clear()
+    return primes._tree.cache_clear
 
 
 @pytest.fixture

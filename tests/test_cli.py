@@ -121,6 +121,24 @@ class TestCandidates:
         assert "84 candidate primes up to 46339" in lines[1]
         assert lines[2] == "311"
 
+    # --refined lists primitive_class(q), the class factor scans, for every
+    # q >= 2: for M15 the two residues of 1 mod 30 that are +-1 mod 8, for
+    # M2 those 1 or 3 mod 8.
+    @pytest.mark.parametrize("q,residues,modulus,kept", [
+        (15, "1, 31", 120, (1, 31)), (2, "1, 3", 8, (1, 3))])
+    def test_refined_composite_and_two(self, capsys, oracle_primes, q, residues,
+                                       modulus, kept):
+        code, out, err = run(capsys, "candidates", "--q", str(q), "--refined",
+                             "--limit", "1000")
+        found = [p for p in oracle_primes(10) if p <= 1000 and p % modulus in kept]
+        assert (code, err) == (0, "")
+        assert out == (f"class for M{q}: residues {residues} mod {modulus}\n"
+                       f"{len(found)} candidate primes up to 1000\n"
+                       + "".join(f"{p}\n" for p in found))
+        assert len(found) == {15: 8, 2: 81}[q]
+        if q == 15:
+            assert found == [31, 151, 241, 271, 601, 631, 751, 991]
+
     def test_unrefined_m37(self, capsys):
         code, out, _ = run(
             capsys, "candidates", "--q", "37", "--limit", "300"

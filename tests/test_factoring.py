@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -232,6 +234,54 @@ def cold_memo():
     clear_cache()
     yield
     clear_cache()
+
+
+class TestCompleteCache:
+    # M60 recurses into its ten proper divisors above 1: eleven exponents.
+    DIVISORS = (2, 3, 4, 5, 6, 10, 12, 15, 20, 30)
+
+    def test_threads_from_a_cold_cache(self, cold_memo):
+        single = factor_mersenne(60)
+        clear_cache()
+        results = [None] * 4
+
+        def work(k):
+            results[k] = factor_mersenne(60)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [single] * 4
+        assert factoring._complete.cache_info().currsize == 11
+        assert factor_mersenne(60) is factor_mersenne(60)
+
+    def test_unrefined_recursion_uses_the_refined_class(self, cold_memo, monkeypatch):
+        # A complete factorization has the same primes whichever class
+        # found them, so the divisors of an --unrefined call are factored
+        # once, through the refined class, and shared with refined calls.
+        calls, uncached = [], factoring._factor_mersenne_uncached
+
+        def spy(*args):
+            calls.append(args)
+            return uncached(*args)
+
+        monkeypatch.setattr(factoring, "_factor_mersenne_uncached", spy)
+        plain, plain_trace = factor_mersenne(60, refined=False)
+        assert calls[0] == (60, None, False)
+        assert sorted(calls[1:]) == [(d, None, True) for d in self.DIVISORS]
+        refined, refined_trace = factor_mersenne(60)
+        assert calls[11:] == [(60, None, True)]
+        assert plain == refined
+        assert ([s for s in plain_trace.steps if s.rule == PROPAGATED]
+                == [s for s in refined_trace.steps if s.rule == PROPAGATED])
 
 
 class TestClassSieveScan:

@@ -372,7 +372,7 @@ class TestFirstProposition:
     def test_cold_and_warm_sieves_agree(self, cold_sieve, n, d):
         cold = first_proposition_witness(n)
         primes.prime_factors(10**12 - 11)
-        assert primes._block_tree is not None
+        assert primes._tree.cache_info().currsize == 1
         assert first_proposition_witness(n) == cold
         assert cold[0] == d and cold[1] == mersenne(d)
 
@@ -382,7 +382,7 @@ class TestFirstProposition:
         n = 1000003 * mersenne(89)
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
-        assert primes._block_tree is not None
+        assert primes._tree.cache_info().currsize == 1
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
 

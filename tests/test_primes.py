@@ -306,6 +306,12 @@ COMPOSITE_GCDS = (2 * 3 * 5 * 7 * 131**2, 3 * 5 * 7 * 11, 3 * 5 * 7 * 127,
 PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
 
 
+def built_tree():
+    """The product tree, which must already be built."""
+    assert primes._tree.cache_info().currsize == 1
+    return primes._tree()
+
+
 def assert_tree_is_block_products():
     """Block 0 is the constant product of the first 32 base primes, and each
     node of the product tree, which starts at block 1, is the product of
@@ -317,7 +323,7 @@ def assert_tree_is_block_products():
     higher one against its two children, which by induction is the same
     check at a cost linear in the tree.
     """
-    tree, base = primes._block_tree, primes._BASE[1]
+    tree, base = built_tree(), primes._BASE[1]
     assert primes._FIRST_BLOCK == math.prod(base[:32])
     assert len(tree[0]) == 204 and base[32 * 204 :][0] == 65371
     for j, node in enumerate(tree[0]):
@@ -336,7 +342,7 @@ def sieve_state(request):
     request.getfixturevalue("cold_sieve")
     if request.param == "warm":
         prime_factors(LARGE_PRIME)
-        assert primes._block_tree is not None
+        assert primes._tree.cache_info().currsize == 1
 
 
 class TestPrimeFactors:
@@ -471,7 +477,8 @@ class TestPrimeFactors:
         start = time.perf_counter()
         assert prime_factors(2 * (10**17 + 3)) == ((2, 1), (10**17 + 3, 1))
         assert time.perf_counter() - start < 1
-        assert len(primes._block_tree[0]) == 204 and len(primes._block_tree) == 8
+        tree = built_tree()
+        assert len(tree[0]) == 204 and len(tree) == 8
         assert split == []
         assert_tree_is_block_products()
 
@@ -503,7 +510,7 @@ class TestPrimeFactors:
         primes_in_classes(10**7, euler_refined_class(31))
         next(class_segments(generalized_class(61)))
         assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
-        assert primes._block_tree is None
+        assert primes._tree.cache_info().currsize == 0
         # The whole tree, although isqrt(LARGE_PRIME) = 31,622 needs only
         # blocks 1..106.
         prime_factors(LARGE_PRIME)
@@ -530,7 +537,7 @@ class TestPrimeFactors:
         assert not any(t.is_alive() for t in threads)
         for batch, result in zip(batches, results):
             assert result == [factor_loop(n) for n in batch]
-        assert len(primes._block_tree) > 1
+        assert len(built_tree()) > 1
         assert_tree_is_block_products()
 
 
@@ -613,7 +620,7 @@ class TestProductTree:
         # the gcd with block 0's constant; 137**2 itself builds the tree.
         for n in range(2, 137**2):
             prime_factors(n)
-        assert primes._block_tree is None
+        assert primes._tree.cache_info().currsize == 0
         assert prime_factors(137**2) == ((137, 2),)
         assert_tree_is_block_products()
 
@@ -622,20 +629,21 @@ class TestProductTree:
         # sieve, to BASE, and no product tree.
         src = os.path.dirname(os.path.dirname(primes.__file__))
         code = ("import fermatkit.primes as p;"
-                " print(len(p._BASE[1]) == 6542, len(p._BASE[0]) - 1, p._block_tree)")
+                " print(len(p._BASE[1]) == 6542, len(p._BASE[0]) - 1, p._tree.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert out.stdout == "True 65536 None\n"
+        assert out.stdout == "True 65536 0\n"
 
     def test_the_tree_is_built_once(self, cold_sieve):
         # Whole, at the first n past block 0, with 204 level-0 nodes and 8
         # levels; later calls read the same object.
         prime_factors(LARGE_PRIME)
-        tree = primes._block_tree
+        tree = built_tree()
         assert len(tree[0]) == 204 and len(tree) == 8
         for n in (10**12 - 11, 65521**2, 2 * (10**17 + 3)):
             prime_factors(n)
-            assert primes._block_tree is tree, n
+            assert built_tree() is tree, n
+        assert primes._tree.cache_info().misses == 1
 
 
 class TestPrimesInClasses:
