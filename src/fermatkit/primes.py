@@ -15,11 +15,14 @@ k = 9..11, and Sorenson and Webster (Math. Comp. 86, 2017) for k = 12
 and 13.
 
 ``prime_factors`` answers a prime n up to BASE by its flag. Otherwise it
-tries the base primes, and no more, in blocks of 32 by gcds: block 0,
-2..131, against a constant, and blocks 1..204 down a product tree
-(Bernstein, 2004), built whole at the first n that reaches block 1. A
-cofactor past 65537**2 that ``is_prime`` does not prove prime is split by
-Brent's rho, with a step cap past which the caller gets ValueError.
+tries the base primes, and no more, by two gcds: one with the product of
+those below 2**7, then, when what is left is 2**14 or more, one with the
+product of those below 2**k, k the bit length of its root, at most 16.
+These products are built one octave at a time, as far as a call needs.
+A composite gcd is walked prime by prime, the second block by block, by
+gcds with the products of the base primes 32 at a time. A cofactor past
+65537**2 that ``is_prime`` does not prove prime is split by Brent's rho,
+with a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class: it
 reads each residue's progression from the base flags as far as they
@@ -123,73 +126,61 @@ def is_prime(n):
     return True
 
 
-# Primes per trial-division block: on n < 10**9, 32 was as fast as 64 and
-# faster than 16, 128 or 256. Block 0, 2..131, is one constant.
+# Primes per block product: a gcd that shares more than one prime with n
+# is split by one gcd per block.
 _BLOCK = 32
-_FIRST_BLOCK = math.prod(_BASE[1][:_BLOCK])
 
 
 @functools.cache
-def _tree():
-    """The product tree over the 204 base blocks after block 0, the last
-    of them the 14 primes 65,371..65,521: node j of level L is the product
-    of blocks 1 + j*2**L .. (j + 1)*2**L, up to one root. Built whole at
-    the first n that reaches block 1, and cached."""
+def _below(k):
+    """The product of the base primes below 2**k, 1 <= k <= 16: the primes
+    of the octave from 2**(k - 1), read from the base flags, times the
+    table for k - 1. Each is built once, at the first call that needs it."""
+    low = 1 << k - 1
+    octave = itertools.compress(range(low, 2 * low), _BASE[0][low : 2 * low])
+    return math.prod(octave) * (_below(k - 1) if k > 1 else 1)
+
+
+@functools.cache
+def _blocks():
+    """The products of the base primes 32 at a time: 205 of them, the last
+    the 14 primes 65,371..65,521. Built whole at the first composite
+    second gcd."""
     primes = _BASE[1]
-    tree = [[math.prod(primes[k : k + _BLOCK])
-             for k in range(_BLOCK, len(primes), _BLOCK)]]
-    while len(tree[-1]) > 1:
-        tree.append([a * b for a, b in zip(tree[-1][::2], tree[-1][1::2])])
-    return tree
+    return [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
 
 
 def _divide_out(n, factors):
     """The cofactor of n once the base primes up to isqrt(n) are out.
 
-    Appends (p, e) to factors for each p that divides n. Block 0 is tried
-    by one gcd g with its constant. From block 1, each gcd tries the
-    largest tree node that starts there and ends by the block holding the
-    square root; a node with g = 1 is passed, and one that shares a factor
-    is descended, each left child tried against g and the right taken when
-    it shares none. A g that the base flags call prime is divided out at
-    once; another is used up by a walk over its block.
+    Appends (p, e) to factors for each p that divides n. Two gcds try
+    them, g = gcd(n, _below(k)) for k = isqrt(n).bit_length(), so that the
+    table holds every prime up to isqrt(n): k is at most 7 for the first,
+    and at most 16 for the second, on what is left, which is taken only
+    when that is at least 2**14. A g that the base flags call prime is
+    divided out at once. Another is walked prime by prime: the first over
+    block 0, which holds every prime below 2**7; the second block by
+    block, by one gcd with each block product in turn until it is used
+    up, each block's gcd walked unless the flags call it prime.
     """
-    (flags, primes), i = _BASE, 0
-    while i < len(primes) and primes[i] * primes[i] <= n:
-        end = i + _BLOCK
-        if not i:
-            g = math.gcd(n, _FIRST_BLOCK)
-        else:  # tree positions x .. stop - 1 hold blocks x + 1 .. stop
-            tree = _tree()
-            root = bisect.bisect_right(primes, math.isqrt(n), i)
-            x, stop = i // _BLOCK - 1, (root - 1) // _BLOCK
-            while x < stop:
-                span, fit = x & -x, 1 << (stop - x).bit_length() - 1
-                if not span or span > fit:
-                    span = fit
-                g = math.gcd(n, tree[span.bit_length() - 1][x // span])
-                if g > 1:
-                    while span > 1:
-                        span >>= 1
-                        h = math.gcd(g, tree[span.bit_length() - 1][x // span])
-                        if h > 1:
-                            g = h
-                        else:
-                            x += span
-                    break
-                x += span
-            i = (x + 1) * _BLOCK
-            end = i + _BLOCK if g > 1 else i
-        if g > 1:
-            for p in (g,) if g <= BASE and flags[g] else primes[i:end]:
-                if g % p == 0:
-                    g, e = g // p, 0
-                    while n % p == 0:
-                        n, e = n // p, e + 1
-                    factors.append((p, e))
-                    if g == 1:
-                        break
-        i = end
+    flags, primes = _BASE
+    for top in 7, 16:
+        if top == 16 and n < 1 << 14:  # every prime up to isqrt(n) is tried
+            break
+        g, i = math.gcd(n, _below(min(top, math.isqrt(n).bit_length()))), 0
+        while g > 1:  # the first g's primes, below 2**7, are all in block 0
+            h = g if top == 7 or g <= BASE and flags[g] else math.gcd(g, _blocks()[i])
+            if h > 1:
+                block = primes[i * _BLOCK : (i + 1) * _BLOCK]
+                for p in (h,) if h <= BASE and flags[h] else block:
+                    if h % p == 0:
+                        g, h, e = g // p, h // p, 0
+                        while n % p == 0:
+                            n, e = n // p, e + 1
+                        factors.append((p, e))
+                        if h == 1:
+                            break
+            i += 1
     return n
 
 
@@ -240,12 +231,12 @@ def prime_factors(n):
     """Ascending (prime, multiplicity) pairs of n >= 2.
 
     A prime n up to BASE is answered by its base flag; else the base
-    primes up to isqrt(n) go by gcds, block 0 by one with its constant, so
-    n < 137**2 builds no tree, and later blocks by the tree search. What is left has no prime factor tried, so it is
-    prime below 65537**2, or where ``is_prime`` proves it below PSI13;
-    else ``_split`` splits it, and each part ``is_prime`` does not prove,
-    until all are proven. A part that ``_split`` cannot split raises
-    ValueError.
+    primes up to isqrt(n) go by the two gcds of ``_divide_out``, so a
+    prime near 10**9 or 10**12 takes two. What is left has no prime
+    factor tried, so it is prime below 65537**2, or where ``is_prime``
+    proves it below PSI13; else ``_split`` splits it, and each part
+    ``is_prime`` does not prove, until all are proven. A part that
+    ``_split`` cannot split raises ValueError.
     """
     if n < 2:
         raise ValueError(f"prime_factors requires n >= 2, got {n}")
@@ -380,8 +371,13 @@ def primes_in_classes(limit, classes):
 
     A walk over more than MAX_SIEVE members, counted as the k values up to
     limit times the residues, raises ValueError before any segment: its
-    list could hold that many primes.
+    list could hold that many primes. The error names the limit, or its
+    bit length where the limit is too long for str().
     """
     if (limit // classes.modulus + 1) * len(classes.residues) > MAX_SIEVE:
-        raise ValueError(f"a class walk stops at {MAX_SIEVE} members, got limit {limit}")
+        try:
+            shown = f"limit {limit}"
+        except ValueError:  # past the interpreter's int-to-str digit cap
+            shown = f"a {limit.bit_length()}-bit limit"
+        raise ValueError(f"a class walk stops at {MAX_SIEVE} members, got {shown}")
     return list(itertools.chain.from_iterable(class_segments(classes, limit)))

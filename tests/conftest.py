@@ -74,12 +74,17 @@ def trial_division_is_prime(n):
 
 @pytest.fixture
 def cold_sieve():
-    """No trial-division product tree, as import leaves it. The fixture's
-    value, called, clears it again."""
+    """No trial-division table, neither a product of the primes below 2**k
+    nor the block products, as import leaves them. The fixture's value,
+    called, clears them again."""
     from fermatkit import primes
 
-    primes._tree.cache_clear()
-    return primes._tree.cache_clear
+    def clear():
+        primes._below.cache_clear()
+        primes._blocks.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

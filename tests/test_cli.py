@@ -157,6 +157,15 @@ class TestCandidates:
         assert (code, out) == (2, "")
         assert err == f"error: a class walk stops at 16777216 members, got limit {limit}\n"
 
+    def test_limit_past_the_digit_cap_exits_2(self, capsys):
+        # isqrt(2**100000 - 1) = 2**50000 - 1 has 15,052 digits, past the
+        # 4,300 that str() of an int writes by default: the limit is named
+        # by its bit length.
+        code, out, err = run(capsys, "candidates", "--q", "100000")
+        assert (code, out) == (2, "")
+        assert err == ("error: a class walk stops at 16777216 members,"
+                       " got a 50000-bit limit\n")
+
 
 class TestPerfect:
     def test_challenge_scan(self, capsys):

@@ -363,26 +363,27 @@ class TestFirstProposition:
         assert 43**16 > PSI13
         assert first_proposition_witness(43**16) == (43, mersenne(43))
 
-    # The least divisor is the same whether the product tree is cold or
-    # built: 1000003**5 is split by rho, and 2*M89 is answered by 2 before
-    # M89, a prime past psi_13, is reached.
+    # The least divisor is the same whether the trial-division tables are
+    # cold or built: 1000003**5 is split by rho, and 2*M89 is answered by 2
+    # before M89, a prime past psi_13, is reached.
     @pytest.mark.parametrize("n,d", [(1000003**5, 1000003), (43**16, 43),
                                      (2**100, 2), (2 * mersenne(89), 2)],
                              ids=["1000003**5", "43**16", "2**100", "2*M89"])
     def test_cold_and_warm_sieves_agree(self, cold_sieve, n, d):
         cold = first_proposition_witness(n)
-        primes.prime_factors(10**12 - 11)
-        assert primes._tree.cache_info().currsize == 1
+        primes.prime_factors(137 * 139 * (10**12 - 11))
+        assert primes._below.cache_info().currsize == 16
+        assert primes._blocks.cache_info().currsize == 1
         assert first_proposition_witness(n) == cold
         assert cold[0] == d and cold[1] == mersenne(d)
 
     def test_unfactorable_raises_cold_and_warm(self, cold_sieve):
         # No base prime, up to 65521, divides 1000003 * M89, and rho cannot
-        # split M89, with the product tree cold or built.
+        # split M89, with the table of the primes below 2**16 cold or built.
         n = 1000003 * mersenne(89)
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
-        assert primes._tree.cache_info().currsize == 1
+        assert primes._below.cache_info().currsize == 16
         with pytest.raises(ValueError, match="cannot factor"):
             first_proposition_witness(n)
 

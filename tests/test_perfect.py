@@ -34,8 +34,8 @@ class TestAliquotSum:
             assert aliquot_sum(n) == brute_aliquot(n)
 
     def test_matches_sigma_below_10_to_9(self, factor_loop):
-        # The sweep's input shape: roots up to 31,622 reach the product tree
-        # past block 0 (2..131), which n <= 10**4 never does.
+        # The sweep's input shape: roots up to 31,622 reach the second gcd,
+        # past the primes below 2**7, which n <= 10**4 < 2**14 never does.
         rng = random.Random(1640)
         for n in (rng.randrange(2, 10**9) for _ in range(1000)):
             sigma = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factor_loop(n))

@@ -298,51 +298,46 @@ class TestStrongTest:
 BLOCK_EDGES = ((131, 137), (311, 313), (503, 509))
 LARGE_PRIME = 999999937
 # n whose gcd with a block's product is composite, so the block is walked:
-# in the first block (2..131), and in the second (137..311), which the tree
-# search over whole blocks reaches.
+# in the first block (2..131), and in the second (137..311), which only
+# the second gcd, past the primes below 2**7, reaches.
 COMPOSITE_GCDS = (2 * 3 * 5 * 7 * 131**2, 3 * 5 * 7 * 11, 3 * 5 * 7 * 127,
                   3 * 5 * 7 * 131, 137 * 139 * 149, 137**2 * 311 * 1000003)
 # n whose gcd with a block's product is one prime of multiplicity above 1.
 PRIME_POWERS = (137**5, 131**3, 2**20 * 137, 311**4 * 313, 509**3 * 1000003)
 
 
-def built_tree():
-    """The product tree, which must already be built."""
-    assert primes._tree.cache_info().currsize == 1
-    return primes._tree()
+def tables_built():
+    """How far the trial-division tables reach: (the largest k with
+    _below(k) built, or 0, whether the block products are built). Each
+    _below(k) is built from _below(k - 1), so those built are 1 .. k."""
+    return primes._below.cache_info().currsize, primes._blocks.cache_info().currsize == 1
 
 
-def assert_tree_is_block_products():
-    """Block 0 is the constant product of the first 32 base primes, and each
-    node of the product tree, which starts at block 1, is the product of
-    its 2**L blocks of 32 base primes; level 0 holds blocks 1..204, the
-    last of them the 14 primes from 65,371, and each level above holds
-    every node its blocks fill, up to one root.
-
-    A level-0 node j is checked against the primes of block j + 1 and a
-    higher one against its two children, which by induction is the same
-    check at a cost linear in the tree.
-    """
-    tree, base = built_tree(), primes._BASE[1]
-    assert primes._FIRST_BLOCK == math.prod(base[:32])
-    assert len(tree[0]) == 204 and base[32 * 204 :][0] == 65371
-    for j, node in enumerate(tree[0]):
-        assert node == math.prod(base[32 * (j + 1) : 32 * (j + 2)]), j
-    for level, nodes in enumerate(tree[1:], 1):
-        assert len(nodes) == len(tree[0]) >> level, level
-        below = tree[level - 1]
-        for j, node in enumerate(nodes):
-            assert node == below[2 * j] * below[2 * j + 1], (level, j)
-    assert len(tree[-1]) == 1
+def assert_tables_are_products(oracle_primes):
+    """Each _below(k) built is the product of the oracle's primes below
+    2**k, and the block products, if built, are 205, each the product of
+    its 32 oracle primes, the last of them the 14 from 65,371. Reads only
+    tables already built."""
+    below, blocks = tables_built()
+    for k in range(1, below + 1):
+        assert primes._below(k) == math.prod(oracle_primes(k)), k
+    assert tables_built() == (below, blocks)
+    if blocks:
+        base = oracle_primes(16)
+        assert len(primes._blocks()) == 205 and base[32 * 204 :][0] == 65371
+        for j, block in enumerate(primes._blocks()):
+            assert block == math.prod(base[32 * j : 32 * (j + 1)]), j
 
 
 @pytest.fixture(params=["cold", "warm"])
 def sieve_state(request):
-    """No product tree, as import leaves it, or the tree already built."""
+    """No trial-division table, as import leaves them, or all of them
+    built: 2 * 65519 * 65521 takes _below(16), and its composite second
+    gcd the block products."""
     request.getfixturevalue("cold_sieve")
     if request.param == "warm":
-        prime_factors(LARGE_PRIME)
-        assert primes._tree.cache_info().currsize == 1
+        prime_factors(2 * 65519 * 65521)
+        assert tables_built() == (16, True)
 
 
 class TestPrimeFactors:
@@ -383,9 +378,9 @@ class TestPrimeFactors:
 
     @pytest.mark.parametrize("n", [509**2, 509 * 521, 1031 * 1033, LARGE_PRIME])
     def test_partial_last_block(self, sieve_state, factor_loop, n):
-        # isqrt(n) lies inside a block of 32, whose primes past it the tree
-        # search tries too: 509 is the last prime up to the root of 509**2
-        # and 509 * 521, and 521 the cofactor past it.
+        # isqrt(n) lies inside a block of 32, whose primes past it the
+        # second gcd tries too: 509 is the last prime up to the root of
+        # 509**2 and 509 * 521, and 521 the cofactor past it.
         assert prime_factors(n) == factor_loop(n)
         assert len(primes_up_to(isqrt(n))) % 32
 
@@ -468,19 +463,20 @@ class TestPrimeFactors:
             assert prime_factors(n) == factor_loop(n), n
         assert len(primes._BASE[0]) == primes.BASE + 1
 
-    def test_trial_division_stops_at_the_base(self, cold_sieve, monkeypatch):
-        # 2 * (10**17 + 3) tries the primes up to BASE alone, in the tree of
-        # 204 blocks and 8 levels, before the strong test proves the
-        # cofactor prime; a tree over the primes to 2**20 would hold 2,555
-        # blocks.
+    def test_trial_division_stops_at_the_base(self, cold_sieve, monkeypatch,
+                                              oracle_primes):
+        # 2 * (10**17 + 3) tries the primes up to BASE alone, in _below(16),
+        # the product of the 6,542 primes below 2**16, before the strong
+        # test proves the cofactor prime; a table to 2**20 would hold
+        # 82,025 primes. 2 is taken by its flag, so no block is walked.
         split = spy_split(monkeypatch)
         start = time.perf_counter()
         assert prime_factors(2 * (10**17 + 3)) == ((2, 1), (10**17 + 3, 1))
         assert time.perf_counter() - start < 1
-        tree = built_tree()
-        assert len(tree[0]) == 204 and len(tree) == 8
+        assert tables_built() == (16, False)
+        assert primes._below(16) == math.prod(primes._BASE[1])
         assert split == []
-        assert_tree_is_block_products()
+        assert_tables_are_products(oracle_primes)
 
     def test_rho_parts_are_not_trial_divided(self, cold_sieve, monkeypatch):
         # Neither part of a split has a prime that was tried, so each goes
@@ -505,18 +501,24 @@ class TestPrimeFactors:
             prime_factors(n)
         assert time.perf_counter() - start < 5
 
-    def test_only_prime_factors_builds_block_products(self, cold_sieve):
+    def test_only_prime_factors_builds_block_products(self, cold_sieve,
+                                                      oracle_primes):
         primes_up_to(10**6)
         primes_in_classes(10**7, euler_refined_class(31))
         next(class_segments(generalized_class(61)))
         assert is_prime(10**12 - 11) and not is_prime(2 * LARGE_PRIME)
-        assert primes._tree.cache_info().currsize == 0
-        # The whole tree, although isqrt(LARGE_PRIME) = 31,622 needs only
-        # blocks 1..106.
+        assert tables_built() == (0, False)
+        # The tables to 2**15 alone, as isqrt(LARGE_PRIME) = 31,622, and no
+        # block products, as neither gcd shares a factor; the composite
+        # second gcd of 137 * 139 builds them.
         prime_factors(LARGE_PRIME)
-        assert_tree_is_block_products()
+        assert tables_built() == (15, False)
+        prime_factors(137 * 139)
+        assert tables_built() == (15, True)
+        assert_tables_are_products(oracle_primes)
 
-    def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop):
+    def test_threads_from_a_cold_cache(self, cold_sieve, factor_loop,
+                                       oracle_primes):
         rng = random.Random(4)
         batches = [[rng.randrange(2, 10**12) for _ in range(100)] for _ in range(4)]
         results = [None] * len(batches)
@@ -537,12 +539,13 @@ class TestPrimeFactors:
         assert not any(t.is_alive() for t in threads)
         for batch, result in zip(batches, results):
             assert result == [factor_loop(n) for n in batch]
-        assert len(built_tree()) > 1
-        assert_tree_is_block_products()
+        assert tables_built() == (16, True)
+        assert_tables_are_products(oracle_primes)
 
 
-# (level, node, end): the first (0) or last (1) prime of node j at level L
-# of the product tree, which spans blocks 1 + j*2**L .. (j + 1)*2**L.
+# (level, j, end): the first (0) or last (1) prime of the run of 2**L
+# blocks of 32 from block 1 + j*2**L; products across these runs check
+# the block walk where runs of blocks meet.
 TREE_EDGES = [(level, j, end) for level in range(5) for j in (1, 2, 3) for end in (0, 1)]
 
 
@@ -563,25 +566,37 @@ class TestProductTree:
     @pytest.mark.parametrize("level,j,end", TREE_EDGES)
     def test_node_edge_products(self, sieve_state, oracle_primes, factor_loop,
                                 level, j, end):
-        # p*q with p and q each the first or last prime of a node at levels
-        # 0..4; times LARGE_PRIME the stop lies past both nodes.
+        # p*q with p and q each the first or last prime of a run of 2**L
+        # blocks, L = 0..4; times LARGE_PRIME the stop lies past both runs.
         p = tree_edge_prime(oracle_primes, level, j, end)
         for q in (tree_edge_prime(oracle_primes, *edge) for edge in TREE_EDGES):
             for n in (p * q, p * q * LARGE_PRIME):
                 assert prime_factors(n) == factor_loop(n), (p, q)
 
-    # Runs of 2**k blocks from block 1 (stops 2, 3, 5, 9, 17, 33, 65) are
-    # one node; the others need several.
+    # Block ends from block 1 to block 107, which holds isqrt(LARGE_PRIME).
     @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17,
                                       24, 32, 33, 48, 64, 65, 96, 106, 107])
     def test_stops_at_a_block_end(self, sieve_state, oracle_primes, trial_division,
                                   factor_loop, stop):
         # q is the last prime of block stop - 1 and r the next: isqrt(n) of
-        # q*r, q*q and the least prime past q*q lies in that block, so the
-        # search stops right at its end, with a hit at q or with none.
+        # q*r, q*q and the least prime past q*q lies in that block, with a
+        # hit at q or with none.
         q, r = oracle_primes(16)[32 * stop - 1 : 32 * stop + 1]
         past = next(n for n in itertools.count(q * q + 1) if trial_division(n))
         for n in (q * r, q * q, past, 2 * past, q * past):
+            assert prime_factors(n) == factor_loop(n), n
+
+    @pytest.mark.parametrize("k", range(7, 17))
+    def test_roots_at_each_octave_edge(self, sieve_state, oracle_primes,
+                                       factor_loop, k):
+        # p and q are the primes nearest 2**k below and above it, so isqrt
+        # of p*p lies below 2**k and of q*q above it: the second gcd's table
+        # is _below(k) or _below(k + 1), up to k = 16, where q = 65537 lies
+        # past the base. Times LARGE_PRIME the stop lies past both.
+        found = oracle_primes(17)
+        i = bisect.bisect_left(found, 1 << k)
+        p, q = found[i - 1], found[i]
+        for n in (p * p, p * q, q * q, p * q * LARGE_PRIME):
             assert prime_factors(n) == factor_loop(n), n
 
     def test_the_last_cached_prime(self, cold_sieve, no_sieve, factor_loop):
@@ -591,23 +606,32 @@ class TestProductTree:
         for n in (4, 65521**2, 65519 * 65521, 2 * 65521**2, 65521 * 65537):
             assert prime_factors(n) == factor_loop(n), n
 
+    def test_two_primes_of_the_last_block(self, cold_sieve, monkeypatch):
+        # The worst case for the block walk: the second gcd is 65519 * 65521,
+        # both in the last of the 205 blocks, so it takes one gcd per block
+        # after the two table gcds, 207 in all. The strong test then proves
+        # the cofactor prime.
+        calls = count_gcds(monkeypatch)
+        n = 65519 * 65521 * (10**17 + 3)
+        start = time.perf_counter()
+        assert prime_factors(n) == ((65519, 1), (65521, 1), (10**17 + 3, 1))
+        assert time.perf_counter() - start < 1
+        assert len(calls) <= 207
+
     def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
-        # 3,401 primes up to isqrt(LARGE_PRIME), 107 blocks: one gcd for
-        # block 0, then one per node of 64, 32, 8 and 2 blocks from block 1.
-        # The flat run took 107 and the tree from block 0 took 11.
+        # 3,401 primes up to isqrt(LARGE_PRIME): one gcd with the primes
+        # below 2**7, one with those below 2**15, and no block is walked.
         calls = count_gcds(monkeypatch)
         assert prime_factors(LARGE_PRIME) == ((LARGE_PRIME, 1),)
-        assert len(calls) <= 6
+        assert len(calls) == 2
 
     def test_a_prime_near_10_to_12_takes_at_most_8_gcds(self, cold_sieve,
                                                         monkeypatch):
-        # The 6,542 base primes: block 0, then nodes of 128, 64, 8 and 4
-        # blocks for blocks 1..204. With block 204 tried by a gcd of its own
-        # it took 7, a tree over all 78,498 primes up to 10**6 took 8, and
-        # one from block 0 took 18.
+        # The 6,542 base primes: one gcd with those below 2**7, one with
+        # those below 2**16, and no block is walked.
         calls = count_gcds(monkeypatch)
         assert prime_factors(10**12 - 11) == ((10**12 - 11, 1),)
-        assert len(calls) <= 5
+        assert len(calls) == 2
 
     def test_a_cached_prime_takes_no_gcd(self, cold_sieve, monkeypatch):
         # Its flag answers, as for each order(2, p) of the FLT sweep.
@@ -615,35 +639,53 @@ class TestProductTree:
         assert prime_factors(49999) == ((49999, 1),)
         assert calls == []
 
-    def test_no_tree_below_the_square_of_137(self, cold_sieve):
-        # 137 is the first prime past block 0, so n < 137**2 is settled by
-        # the gcd with block 0's constant; 137**2 itself builds the tree.
-        for n in range(2, 137**2):
+    def test_one_table_below_2_to_14(self, cold_sieve, oracle_primes):
+        # After the gcd with the primes below 2**7, n < 2**14 leaves a
+        # cofactor whose root is below 2**7, so it takes no second gcd and
+        # builds no table past _below(7); the first gcd's primes all lie in
+        # block 0, so it builds no block products either. 131**2 builds
+        # _below(8), and its second gcd, 131, is prime by its flag.
+        for n in range(2, 2**14):
             prime_factors(n)
-        assert primes._tree.cache_info().currsize == 0
-        assert prime_factors(137**2) == ((137, 2),)
-        assert_tree_is_block_products()
+        assert tables_built() == (7, False)
+        assert prime_factors(131**2) == ((131, 2),)
+        assert tables_built() == (8, False)
+        assert_tables_are_products(oracle_primes)
+
+    def test_a_cold_order_builds_tables_to_2_to_10(self, cold_sieve,
+                                                   oracle_primes):
+        # order(2, 1000003) factors 1000003, whose root 1,000 is below
+        # 2**10, and 1000002 = 2 * 3 * 166667: no table past _below(10),
+        # and no block products, as 6 lies in block 0 and 166667 is prime.
+        assert order(2, 1000003).order == 1000002
+        assert tables_built() == (10, False)
+        assert_tables_are_products(oracle_primes)
 
     def test_import_leaves_the_base_sieve_and_no_tree(self):
         # The state cold_sieve resets to: a fresh process holds the base
-        # sieve, to BASE, and no product tree.
+        # sieve, to BASE, and no trial-division table.
         src = os.path.dirname(os.path.dirname(primes.__file__))
         code = ("import fermatkit.primes as p;"
-                " print(len(p._BASE[1]) == 6542, len(p._BASE[0]) - 1, p._tree.cache_info().currsize)")
+                " print(len(p._BASE[1]) == 6542, len(p._BASE[0]) - 1,"
+                " p._below.cache_info().currsize + p._blocks.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert out.stdout == "True 65536 0\n"
 
-    def test_the_tree_is_built_once(self, cold_sieve):
-        # Whole, at the first n past block 0, with 204 level-0 nodes and 8
-        # levels; later calls read the same object.
+    def test_each_table_is_built_once(self, cold_sieve):
+        # One octave at a time, as far as a call needs, and the block
+        # products whole at the first composite second gcd; later calls
+        # read the same objects.
         prime_factors(LARGE_PRIME)
-        tree = built_tree()
-        assert len(tree[0]) == 204 and len(tree) == 8
-        for n in (10**12 - 11, 65521**2, 2 * (10**17 + 3)):
+        assert tables_built() == (15, False)
+        prime_factors(2 * 65519 * 65521)
+        assert tables_built() == (16, True)
+        table, blocks = primes._below(16), primes._blocks()
+        for n in (10**12 - 11, 65521**2, 2 * (10**17 + 3), 6 * LARGE_PRIME):
             prime_factors(n)
-            assert built_tree() is tree, n
-        assert primes._tree.cache_info().misses == 1
+            assert primes._below(16) is table and primes._blocks() is blocks, n
+        assert primes._below.cache_info().misses == 16
+        assert primes._blocks.cache_info().misses == 1
 
 
 class TestPrimesInClasses:
@@ -704,6 +746,16 @@ class TestPrimesInClasses:
             with pytest.raises(ValueError,
                                match=f"stops at 3000 members, got limit {limit}$"):
                 primes_in_classes(limit, cls)
+
+    def test_ceiling_error_on_each_side_of_the_digit_cap(self):
+        # str() of an int writes at most 4,300 digits by default: a limit
+        # of 4,300 digits is printed, one of 4,301 named by its bit length.
+        cls = generalized_class(3)
+        for limit, shown in ((10**4300 - 1, f"limit {10**4300 - 1}"),
+                             (10**4300, "a 14285-bit limit")):
+            with pytest.raises(ValueError) as raised:
+                primes_in_classes(limit, cls)
+            assert str(raised.value) == f"a class walk stops at 16777216 members, got {shown}"
 
     def test_no_sieve_before_the_ceiling_raises(self, monkeypatch):
         # candidates --q 80 walks 1 mod 160 to isqrt(2**80 - 1), about 6.9e9
