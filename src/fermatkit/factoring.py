@@ -4,19 +4,23 @@ The pipeline mirrors the 1640 method: primes of 2**d - 1 for proper
 divisors d of n are divided out first (to full multiplicity), then the
 remaining cofactor is divided only by the primes of its admissible
 residue class, in increasing order, so no composite candidate is ever
-tried. The scan takes them a segment at a time from the class sieve
-``primes.class_segments``, which it tells where it stops, and finds each
-segment's first divisor in one pass; a cofactor with no divisor up to its
-square root is prime. ``factor_nat`` wraps ``primes.prime_factors``.
+tried. The scan, ``class_scan``, takes them a segment at a time from the
+class sieve ``primes.class_segments``, which it tells where it stops, and
+finds each segment's first divisor in one pass; a cofactor with no
+divisor up to its square root is prime. It is the library's one walk over
+a class: Frenicle's witness is its first hit, and the M31 replay reads
+its trace. ``factor_nat`` wraps ``primes.prime_factors``.
 
-The trace keeps every candidate tried, but not one step per candidate:
-each maximal run of misses is one MISS_RUN step, so a trace holds O(hits)
-steps and its shape does not depend on where segments end.
+The scan yields the trace, and the factors are read off its steps. It
+keeps every candidate tried, but not one step per candidate: each maximal
+run of misses is one MISS_RUN step, so a trace holds O(hits) steps and
+its shape does not depend on where segments end.
 """
 
 import bisect
 import functools
 import itertools
+import math
 import operator
 from collections import namedtuple
 
@@ -122,7 +126,6 @@ def _factor_mersenne_uncached(n, budget, refined):
     value = mersenne(n)
     cofactor = value
     steps = []
-    counts = {}
 
     # Inherited primes: every prime of 2**d - 1 for proper d | n divides
     # 2**n - 1. Keep the smallest d each prime came from.
@@ -138,26 +141,28 @@ def _factor_mersenne_uncached(n, budget, refined):
         while cofactor % p == 0:
             cofactor //= p
             e += 1
-        counts[p] = e
         steps.append(TraceStep(PROPAGATED, p, source=inherited[p], multiplicity=e))
 
-    status = COMPLETE
     if cofactor > 1:
         cls = primitive_class(n) if refined else generalized_class(n)
-        status, cofactor = _class_scan(cofactor, cls, budget, steps, counts)
+        steps += class_scan(cofactor, cls, budget)
 
-    factors = tuple(sorted((p, e) for p, e in counts.items()))
-    fact = Factorization(value, factors, status, cofactor if status == PARTIAL else 1)
+    # Only the steps that divide something out carry a multiplicity.
+    factors = tuple(sorted((s.value, s.multiplicity) for s in steps if s.multiplicity))
+    left = value // math.prod(p**e for p, e in factors)
+    fact = Factorization(value, factors, PARTIAL if left > 1 else COMPLETE, left)
     return fact, FactorTrace(tuple(steps))
 
 
-def _class_scan(cofactor, cls, budget, steps, counts):
-    """Divide cofactor by the primes of cls, ascending; (status, cofactor left).
+def class_scan(cofactor, cls, budget=None):
+    """Divide cofactor by the primes of cls, ascending, yielding TraceSteps.
 
     Each segment is cut at stop = min(isqrt(cofactor), budget) and searched
     for its first divisor in one pass; the candidates before it extend the
     pending run of misses, one MISS_RUN step once a hit or the end follows.
     A segment read to its end sends stop to the sieve for the next one.
+    The last step is a CANDIDATE_HIT that leaves 1, COFACTOR_PRIME, or
+    BUDGET_EXHAUSTED; a caller may stop reading at any step.
     """
     limit = isqrt(cofactor)
     misses = []
@@ -176,26 +181,24 @@ def _class_scan(cofactor, cls, budget, steps, counts):
             segment, i = segments.send(stop), 0
             continue
         if misses:
-            steps.append(TraceStep(MISS_RUN, tuple(misses)))
+            yield TraceStep(MISS_RUN, tuple(misses))
             misses = []
         c = segment[j]
         if j == end:  # c is the first candidate past stop
             if c > limit:
                 # Every prime divisor of the primitive cofactor lies in
                 # the class, so an exhausted scan proves primality.
-                counts[cofactor] = 1
-                steps.append(TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1))
-                return COMPLETE, 1
-            steps.append(TraceStep(BUDGET_EXHAUSTED, budget))
-            return PARTIAL, cofactor
+                yield TraceStep(COFACTOR_PRIME, cofactor, multiplicity=1)
+            else:
+                yield TraceStep(BUDGET_EXHAUSTED, budget)
+            return
         e = 0
         while cofactor % c == 0:
             cofactor //= c
             e += 1
-        counts[c] = e
-        steps.append(TraceStep(CANDIDATE_HIT, c, multiplicity=e))
+        yield TraceStep(CANDIDATE_HIT, c, multiplicity=e)
         if cofactor == 1:
-            return COMPLETE, 1
+            return
         limit = isqrt(cofactor)
         i = j + 1
 

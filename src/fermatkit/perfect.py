@@ -4,19 +4,26 @@ Aliquot questions reduce to prime questions: the aliquot sum comes from
 the factorization via the multiplicative sigma formula, and even perfect
 numbers are enumerated through Euclid's pairing with Mersenne primes,
 each decided by the Lucas-Lehmer test (``mersenne.is_mersenne_prime``).
-A composite 2**p - 1 gets Fermat's witness: a prime q with 2**p = 1 mod q.
+A composite 2**p - 1 gets Fermat's witness, a prime q with 2**p = 1 mod q:
+the first hit of ``factoring.class_scan``, the one walk over a class.
 """
 
 from collections import namedtuple
 
+from .factoring import CANDIDATE_HIT, class_scan
 from .forms import euler_refined_class
 from .kernel import Record, digit_count
 from .mersenne import is_mersenne_prime, mersenne
-from .primes import class_segments, prime_factors, primes_up_to
+from .primes import prime_factors, primes_up_to
 
 MERSENNE_PRIME = "mersenne-prime"
 IMPOSTER = "imposter"
 UNRESOLVED = "unresolved"
+
+# The largest witness frenicle_scan looks for by default. It lies past
+# Cole's 193,707,721 for M67, so every p <= 100 keeps its witness, and it
+# bounds the misses one scan holds: M101's least factor is 7.4e12.
+FRENICLE_BUDGET = 1 << 28
 
 
 class PerfectRecord(Record, namedtuple(
@@ -26,9 +33,9 @@ class PerfectRecord(Record, namedtuple(
 
 class ExponentVerdict(Record, namedtuple(
         "ExponentVerdict", "exponent verdict witness digits", defaults=(None, None))):
-    """verdict: MERSENNE_PRIME, IMPOSTER or UNRESOLVED; witness: the least
-    prime factor, found by the class walk, for imposters; digits: of the
-    paired perfect number, for primes."""
+    """verdict: MERSENNE_PRIME, IMPOSTER or UNRESOLVED; witness: for
+    imposters, the least prime factor, found by the class scan within its
+    budget; digits: of the paired perfect number, for primes."""
 
     __slots__ = ()
 
@@ -82,21 +89,23 @@ def enumerate_even_perfect(limit):
     return found
 
 
-def frenicle_scan(min_digits, max_exponent, budget=None):
+def frenicle_scan(min_digits, max_exponent, budget=FRENICLE_BUDGET):
     """Scan prime exponents for a perfect number with >= min_digits digits.
 
     Each prime p <= max_exponent is classified by the Lucas-Lehmer test
     as mersenne-prime (records the paired perfect number's digit count)
-    or composite. A composite 2**p - 1 is an imposter when the walk up its
-    class of primes (``euler_refined_class``), to budget if given, meets a
-    q with 2**p = 1 (mod q): the first such q, its least prime factor, is
-    the witness. Else it is unresolved (composite, no witness in budget).
+    or composite. A composite 2**p - 1 is an imposter when
+    ``factoring.class_scan`` over its class (``euler_refined_class``)
+    finds a prime factor up to budget: its first hit, the witness. Else it
+    is unresolved (composite, no witness within budget). So the witness is
+    the least prime factor only within budget. budget bounds the time and
+    the memory of each scan, which holds its misses, so it cannot be None.
     """
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
     if max_exponent < 2:
         raise ValueError(f"max_exponent must be >= 2, got {max_exponent}")
-    if budget is not None and budget < 1:
+    if budget is None or budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     examined = []
     outcome = None
@@ -107,8 +116,8 @@ def frenicle_scan(min_digits, max_exponent, budget=None):
             if outcome is None and record.digits >= min_digits:
                 outcome = record
             continue
-        segments = class_segments(euler_refined_class(p), budget)
-        witness = next((q for s in segments for q in s if pow(2, p, q) == 1), None)
+        scan = class_scan(mersenne(p), euler_refined_class(p), budget)
+        witness = next((s.value for s in scan if s.rule == CANDIDATE_HIT), None)
         verdict = IMPOSTER if witness else UNRESOLVED
         examined.append(ExponentVerdict(p, verdict, witness=witness))
     return ChallengeReport(min_digits, tuple(examined), outcome)

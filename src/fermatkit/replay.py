@@ -4,6 +4,8 @@ Expected values are embedded literal constants (the historically
 reported factorizations, counts, and digit tallies), never recomputed,
 so a regression in the pipeline cannot silently rewrite what the run is
 checked against. It only recomputes and diffs; ``render`` writes the text.
+Every scan is ``factor_mersenne``'s: the M31 candidates and hits are read
+from its trace, not from a walk of this module's own.
 """
 
 from collections import namedtuple
@@ -12,7 +14,7 @@ from .factoring import factor_mersenne
 from .forms import euler_refined_class
 from .kernel import Record, digit_count
 from .mersenne import mersenne
-from .primes import is_prime, primes_in_classes, primes_up_to
+from .primes import is_prime, primes_up_to
 from .render import format_factorization, format_residues
 
 
@@ -127,10 +129,12 @@ def replay_m31():
     cls = euler_refined_class(31)
     residue_text = f"mod {cls.modulus}: {format_residues(cls)}"
     prime_count = len(primes_up_to(46338))
-    candidates = primes_in_classes(46339, cls)
-    hits = [c for c in candidates if pow(2, 31, c) == 1]
-    # Non-divisibility is decided through the power residue; spot-check
-    # the first and last candidates by direct division as well.
+    # factor_mersenne scans the same class, by division, to isqrt(M31).
+    _, trace = factor_mersenne(31)
+    candidates = trace.candidates_tried()
+    hits = trace.hits()
+    # The scan divides; spot-check the first and last candidates through
+    # the power residue as well.
     consistent = all(
         (m31 % c == 0) == (pow(2, 31, c) == 1)
         for c in (candidates[0], candidates[-1])

@@ -320,7 +320,7 @@ class TestClassSieveScan:
         # segments and read 262; from flags to 1024 they sieve 288, and
         # with none read, 379. The bound keeps the schedule, the flag read
         # and the base sieve's reach there.
-        scan, segments, scans = factoring._class_scan, factoring.class_segments, []
+        scan, segments, scans = factoring.class_scan, factoring.class_segments, []
 
         def counted_segments(classes):
             walk, stop = segments(classes), None
@@ -334,12 +334,11 @@ class TestClassSieveScan:
                 scans[-1]["sieved" if len(sieved) > before else "read"] += 1
                 stop = yield segment
 
-        def recorded_scan(cofactor, cls, budget, steps, counts):
+        def recorded_scan(cofactor, cls, budget=None):
             record = {"cls": cls, "yielded": [], "sieved": 0, "read": 0}
             scans.append(record)
-            before = len(steps)
-            result = scan(cofactor, cls, budget, steps, counts)
-            trace = FactorTrace(tuple(steps[before:]))
+            steps = list(scan(cofactor, cls, budget))
+            trace = FactorTrace(tuple(steps))
             cap = isqrt(cofactor) if budget is None else budget
             record["first_stop"] = min(isqrt(cofactor), cap)
             for p in trace.hits():
@@ -347,10 +346,10 @@ class TestClassSieveScan:
                     cofactor //= p
             record["last_stop"] = min(isqrt(cofactor), cap)
             record["tried"] = trace.candidates_tried()
-            return result
+            return steps
 
         monkeypatch.setattr(factoring, "class_segments", counted_segments)
-        monkeypatch.setattr(factoring, "_class_scan", recorded_scan)
+        monkeypatch.setattr(factoring, "class_scan", recorded_scan)
         for n in range(2, 129):
             if n != 122:
                 factor_mersenne(n, budget=10**7)

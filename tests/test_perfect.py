@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fermatkit
 from fermatkit.perfect import (
+    FRENICLE_BUDGET,
     IMPOSTER,
     MERSENNE_PRIME,
     UNRESOLVED,
@@ -183,3 +188,61 @@ class TestFrenicleScan:
             frenicle_scan(1, 1)
         with pytest.raises(ValueError, match="budget"):
             frenicle_scan(20, 37, budget=0)
+
+    def test_no_budget_rejected(self):
+        # Each scan holds its misses, so an unbounded one grows in memory.
+        with pytest.raises(ValueError, match="budget"):
+            frenicle_scan(20, 37, budget=None)
+
+    def test_witnesses_match_the_walk_to_400(self, oracle_primes):
+        # The walk the class scan replaced, kept as its oracle: the least
+        # prime q = 1 mod 2p, q <= budget, with 2**p = 1 mod q.
+        budget = 10**6
+        primes = [q for q in oracle_primes(20) if q <= budget]
+        report = frenicle_scan(20, 400, budget)
+        assert [v.exponent for v in report.examined] == [q for q in primes if q <= 400]
+        for v in report.examined:
+            if v.verdict == MERSENNE_PRIME:
+                continue
+            p = v.exponent
+            witness = next((q for q in primes
+                            if q % (2 * p) == 1 and pow(2, p, q) == 1), None)
+            assert v.witness == witness, p
+            assert v.verdict == (UNRESOLVED if witness is None else IMPOSTER), p
+
+    def test_budget_boundary_is_inclusive(self):
+        below = {v.exponent: v for v in frenicle_scan(20, 37, budget=222).examined}
+        at = {v.exponent: v for v in frenicle_scan(20, 37, budget=223).examined}
+        assert (below[37].verdict, below[37].witness) == (UNRESOLVED, None)
+        assert (at[37].verdict, at[37].witness) == (IMPOSTER, 223)
+
+    def test_default_budget_reaches_cole_and_stops_at_101(self):
+        # Cole's 1903 factor of M67 lies within the default budget; M101's
+        # least factor, about 7.4e12, lies past it.
+        assert 193707721 <= FRENICLE_BUDGET
+        by_exponent = {v.exponent: v for v in frenicle_scan(20, 101).examined}
+        assert (by_exponent[67].verdict, by_exponent[67].witness) == (IMPOSTER, 193707721)
+        assert (by_exponent[101].verdict, by_exponent[101].witness) == (UNRESOLVED, None)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_default_budget_to_127_peaks_below_64_mib(self):
+        # Three exponents to 127 end unresolved, each scan holding every
+        # class prime it missed up to the default budget. A wrapper waits
+        # for the scan alone, so RUSAGE_CHILDREN reads the scan's own peak.
+        src = os.path.dirname(os.path.dirname(fermatkit.__file__))
+        scan = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from fermatkit.perfect import UNRESOLVED, frenicle_scan\n"
+            "report = frenicle_scan(20, 127)\n"
+            "print(sum(v.verdict == UNRESOLVED for v in report.examined), flush=True)\n"
+        )
+        script = (
+            "import resource, subprocess, sys\n"
+            f"subprocess.run([sys.executable, '-c', {scan!r}], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, check=True)
+        unresolved, peak_kib = map(int, proc.stdout.split())
+        assert unresolved == 3
+        assert peak_kib / 1024 < 64
