@@ -28,10 +28,11 @@ with a step cap past which the caller gets ValueError.
 reads each residue's progression from the base flags as far as they
 reach, then sieves a segment at a time, one sieve for the progression
 the residues share when it is at most half outside them, and merges the
-residues; a scan sends it where the scan stops. Segments grow 8x from 64 k values up
-to a cap, and each sieving prime carries a running offset, the next
-member it strikes, from segment to segment (the segmented sieve for
-arithmetic progressions of Bays and Hudson, BIT 17, 1977).
+residues. Its one scanning caller, ``factoring.class_scan``, sends it
+where the scan stops. Segments grow 8x from 64 k values up to a cap,
+and each sieving prime carries a running offset, the next member it
+strikes, from segment to segment (the segmented sieve for arithmetic
+progressions of Bays and Hudson, BIT 17, 1977).
 ``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
 """
 

@@ -8,7 +8,6 @@ import pytest
 
 import fermatkit
 from fermatkit.perfect import (
-    FRENICLE_BUDGET,
     IMPOSTER,
     MERSENNE_PRIME,
     UNRESOLVED,
@@ -188,8 +187,6 @@ class TestFrenicleScan:
             frenicle_scan(1, 1)
         with pytest.raises(ValueError, match="budget"):
             frenicle_scan(20, 37, budget=0)
-
-    def test_no_budget_rejected(self):
         # Each scan holds its misses, so an unbounded one grows in memory.
         with pytest.raises(ValueError, match="budget"):
             frenicle_scan(20, 37, budget=None)
@@ -219,7 +216,6 @@ class TestFrenicleScan:
     def test_default_budget_reaches_cole_and_stops_at_101(self):
         # Cole's 1903 factor of M67 lies within the default budget; M101's
         # least factor, about 7.4e12, lies past it.
-        assert 193707721 <= FRENICLE_BUDGET
         by_exponent = {v.exponent: v for v in frenicle_scan(20, 101).examined}
         assert (by_exponent[67].verdict, by_exponent[67].witness) == (IMPOSTER, 193707721)
         assert (by_exponent[101].verdict, by_exponent[101].witness) == (UNRESOLVED, None)
