@@ -82,10 +82,15 @@ def build_parser():
 
 def _cmd_factor(args):
     fact, trace = factor_mersenne(args.n, args.budget, args.refined)
-    if args.json:
-        sys.stdout.writelines(render.factor_json(args.n, fact, trace))
-    else:
-        sys.stdout.writelines(render.factor_lines(args.n, fact, trace))
+    lines_of = render.factor_json if args.json else render.factor_lines
+    # M_n has more digits than the interpreter's int-to-str cap from
+    # n = 14,285 on: lift it for this output alone, then put it back.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        sys.stdout.writelines(lines_of(args.n, fact, trace))
+    finally:
+        sys.set_int_max_str_digits(cap)
     return 0
 
 

@@ -24,14 +24,15 @@ gcds with the products of the base primes 32 at a time. A cofactor past
 65537**2 that ``is_prime`` does not prove prime is split by Brent's rho,
 with a step cap past which the caller gets ValueError.
 
-``class_segments`` is the one walk over the primes of a residue class: it
-reads each residue's progression from the base flags as far as they
-reach, then sieves a segment at a time, one sieve for the progression
-the residues share when it is at most half outside them, and merges the
-residues. Its one scanning caller, ``factoring.class_scan``, sends it
-where the scan stops. Segments grow 8x from 64 k values up to a cap,
-and each sieving prime carries a running offset, the next member it
-strikes, from segment to segment (the segmented sieve for arithmetic
+``class_segments`` is the one walk over the primes of a residue class, a
+segment at a time, with one sieve for the progression the residues
+share when it is at most half outside them. It reads each residue's
+progression from the base flags as far as they reach, where the sieve
+is a strided slice of the flags, then sieves, and merges the residues.
+Its one scanning caller, ``factoring.class_scan``, sends it where the
+scan stops. Segments grow 8x from 64 k values up to a cap, and each
+sieving prime carries a running offset, the next member it strikes,
+from segment to segment (the segmented sieve for arithmetic
 progressions of Bays and Hudson, BIT 17, 1977).
 ``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
 """
@@ -270,20 +271,22 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Residue r's members are r + k*m. Up to the last k whose members all
-    have base flags, every k when limit <= BASE, a segment reads each
-    residue from the flags by a strided slice. Past it, one sieve per
-    segment holds the progression r0 + j*base that every residue lies on,
-    where r0 is the least residue, base = gcd(m, r - r0 for each r) and
-    s = m // base: s*(k1 - k0) bytes, from which residue r is the strided
-    slice from (r - r0) // base by s. When s > 2 * len(residues), as for
-    +-1 mod 2*10**6, most of that progression is in no residue, and each
-    residue is a group of its own, with base = m and s = 1. Each sieving
-    prime keeps at most one entry per group, a stride and the next j it
-    strikes; the sieving primes are the base primes, and only a walk past
-    BASE**2 takes more, from one ``primes_up_to`` list that doubles as the
-    walk needs it. The segment's per-residue lists are merged. The walk
-    stops past limit, if any.
+    Residue r's members are r + k*m. One sieve per segment holds the
+    progression r0 + j*base that every residue lies on, where r0 is the
+    least residue, base = gcd(m, r - r0 for each r) and s = m // base:
+    s*(k1 - k0) bytes, from which residue r is the strided slice from
+    (r - r0) // base by s. When s > 2 * len(residues), as for +-1 mod
+    2*10**6, most of that progression is in no residue, and each residue
+    is a group of its own, with base = m and s = 1. This layout is chosen
+    once, before the first segment. Up to the last k whose members all
+    have base flags, every k when limit <= BASE, a segment's sieve is the
+    flags' strided slice from k0*m + r0 by base, so the segment reads
+    each residue from the flags by a strided slice; past it, the sieve is
+    built and struck. Each sieving prime keeps at most one entry per
+    group, a stride and the next j it strikes; the sieving primes are the
+    base primes, and only a walk past BASE**2 takes more, from one
+    ``primes_up_to`` list that doubles as the walk needs it. The segment's
+    per-residue lists are merged. The walk stops past limit, if any.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it.
@@ -303,7 +306,15 @@ def class_segments(classes, limit=None):
     # The k values below read have every member's flag in the base sieve.
     (flags, primes), top = _BASE, BASE  # sieving primes up to top
     read = (BASE - residues[-1]) // m + 1 if cap > BASE + 1 else math.inf
-    groups, planned, k0, end, size, stop = None, 0, 0, 0, _FIRST_SEGMENT, None
+    # The layout: (r0, offsets, plan) per progression r0 + j*base.
+    base = math.gcd(m, *(r - residues[0] for r in residues))
+    s = m // base
+    if s > 2 * len(residues):
+        base, s = m, 1
+        groups = [(r, [0], []) for r in residues]
+    else:
+        groups = [(residues[0], [(r - residues[0]) // base for r in residues], [])]
+    planned, k0, end, size, stop = 0, 0, 0, _FIRST_SEGMENT, None
     while k0 * m + residues[0] < cap:
         if k0 == end:  # the next segment of the schedule
             n = size if stop is None else min(
@@ -311,24 +322,8 @@ def class_segments(classes, limit=None):
             if limit is not None:
                 n = min(n, (limit - residues[0]) // m + 1 - k0)
             end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
-        if k0 < read:  # cut where the flags end
-            k1 = min(end, read)
-            lists = []
-            for r in residues:
-                members = range(k0 * m + r, min(k1 * m + r, cap), m)
-                lists.append(list(itertools.compress(
-                    members, flags[members.start : members.stop : m])))
-        else:
-            k1 = end
-            if groups is None:  # (r0, offsets, plan) per shared progression
-                base = math.gcd(m, *(r - residues[0] for r in residues))
-                s = m // base
-                if s > 2 * len(residues):
-                    base, s = m, 1
-                    groups = [(r, [0], []) for r in residues]
-                else:
-                    groups = [(residues[0], [(r - residues[0]) // base
-                                             for r in residues], [])]
+        k1 = read if k0 < read < end else end  # cut where the flags end
+        if k1 > read:  # a sieved segment: plan the primes up to its root
             root = math.isqrt((k1 - 1) * m + residues[-1])
             if root > top:  # a walk past top**2: at least double the list
                 top = max(root, min(2 * top, MAX_SIEVE))
@@ -347,11 +342,19 @@ def class_segments(classes, limit=None):
                     elif r0 % p == 0:
                         plan.append([1, j])
             planned = count
-            lists, width = [], s * (k1 - k0)
-            for r0, offsets, plan in groups:
+        lists, width = [], s * (k1 - k0)
+        for r0, offsets, plan in groups:
+            low = k0 * m + r0
+            if k1 <= read:
+                # The flags are the sieve. The slice comes up short only
+                # past the last member any offset reads: read keeps
+                # r + (k1 - 1)*m <= BASE for every residue, and when read
+                # is unbounded, every member read is below cap <= BASE + 1.
+                sieve = flags[low : low + width * base : base]
+            else:
                 sieve = bytearray([1]) * width
-                low = len(range(k0 * m + r0, 2, base))  # 0 and 1 are not prime
-                sieve[:low] = bytes(low)
+                zeros = len(range(low, 2, base))  # 0 and 1 are not prime
+                sieve[:zeros] = bytes(zeros)
                 for entry in plan:
                     i = entry[1] - k0 * s
                     if i < width:
@@ -359,10 +362,10 @@ def class_segments(classes, limit=None):
                         strikes = (width - 1 - i) // p + 1
                         sieve[i::p] = bytes(strikes)
                         entry[1] += strikes * p
-                for t in offsets:
-                    r = r0 + t * base
-                    lists.append(list(itertools.compress(
-                        range(k0 * m + r, min(k1 * m + r, cap), m), sieve[t::s])))
+            for t in offsets:
+                r = r0 + t * base
+                lists.append(list(itertools.compress(
+                    range(k0 * m + r, min(k1 * m + r, cap), m), sieve[t::s])))
         stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
         k0 = k1
 

@@ -50,6 +50,28 @@ class TestFactor:
         assert code == 2
         assert "error" in err
 
+    def test_value_past_the_digit_cap(self, capsys):
+        # M14303 has 4,306 digits, past the 4,300 that str() of an int
+        # writes by default: the command lifts the cap while it writes and
+        # puts it back, so a later call in this process still has it.
+        cap = sys.get_int_max_str_digits()
+        value = 2**14303 - 1
+        code, out, _ = run(capsys, "factor", "14303", "--budget", "10")
+        assert sys.get_int_max_str_digits() == cap
+        assert code == 0
+        head = out.split("\n")[0]
+        assert head.startswith("M14303 = ")
+        digits = head[len("M14303 = "):].split(" ")[0]
+        assert len(digits) == 4306 and digits.isdigit()
+        assert int(digits[:100]) == value // 10**4206
+        assert int(digits[-100:]) == value % 10**100
+        code, out, _ = run(capsys, "factor", "14303", "--budget", "10", "--json")
+        assert sys.get_int_max_str_digits() == cap
+        assert code == 0
+        digits = json.loads(out)["factorization"]["value"]
+        assert len(digits) == 4306 and digits.isdigit()
+        assert int(digits[-100:]) == value % 10**100
+
 
 class TestOrder:
     def test_default_base(self, capsys):
