@@ -160,7 +160,13 @@ def class_scan(cofactor, cls, budget=None):
     Each segment is cut at stop = min(isqrt(cofactor), budget) and searched
     for its first divisor in one pass; the candidates before it extend the
     pending run of misses, one MISS_RUN step once a hit or the end follows.
-    A segment read to its end sends stop to the sieve for the next one.
+    A segment read to its end sends stop to the sieve, whose next segment
+    then runs 64 k values past the stop's k, so the candidate past the
+    stop that ends the scan seldom takes a segment more. Past the base
+    flags a segment's primes are read off one sieve of the class's
+    progression, its residues' mask tiled and struck, 2**14 bytes at a
+    time, as the lines it splits into at its primes; below, off the
+    flags, residue by residue (see ``primes.class_segments``).
     The last step is a CANDIDATE_HIT that leaves 1, COFACTOR_PRIME, or
     BUDGET_EXHAUSTED; a caller may stop reading at any step.
     """

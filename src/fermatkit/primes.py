@@ -25,22 +25,28 @@ gcds with the products of the base primes 32 at a time. A cofactor past
 with a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class, a
-segment at a time, with one sieve for the progression the residues
-share when it is at most half outside them. It reads each residue's
-progression from the base flags as far as they reach, where the sieve
-is a strided slice of the flags, then sieves, and merges the residues.
-Its one scanning caller, ``factoring.class_scan``, sends it where the
-scan stops. Segments grow 8x from 64 k values up to a cap, and each
-sieving prime carries a running offset, the next member it strikes,
-from segment to segment (the segmented sieve for arithmetic
-progressions of Bays and Hudson, BIT 17, 1977).
+segment at a time. As far as the base flags reach, it reads each
+residue's primes off a strided slice of them. Past them it sieves, with
+one sieve for the progression the residues share when it is at most
+half outside them: the residues' mask tiled and struck, whose primes
+are read in order, 2**14 bytes at a time, as the lines a piece splits
+into once its 1s are made newlines. Its one scanning caller,
+``factoring.class_scan``, sends it where the scan stops, and the
+segment that holds the stop runs 64 k values past it, so the first
+prime past the stop seldom takes another segment. Segments grow 8x
+from 64 k values up to a cap, and each sieving prime carries a running
+offset, the next member it strikes, from segment to segment (the
+segmented sieve for arithmetic progressions of Bays and Hudson, BIT 17,
+1977).
 ``primes_in_classes`` flattens a walk of at most MAX_SIEVE members.
 """
 
 import bisect
 import functools
+import io
 import itertools
 import math
+import operator
 
 
 def _sieve(limit):
@@ -265,38 +271,57 @@ def prime_factors(n):
 _FIRST_SEGMENT = 64
 _GROWTH = 8
 _MAX_SEGMENT = 1 << 16
+# Sieve bytes read at a time: a piece's copy with newlines and the line
+# reader's buffer are each a piece long, not a segment (up to s * 2**16).
+_PIECE = 1 << 14
 
 
 def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Residue r's members are r + k*m. One sieve per segment holds the
-    progression r0 + j*base that every residue lies on, where r0 is the
-    least residue, base = gcd(m, r - r0 for each r) and s = m // base:
-    s*(k1 - k0) bytes, from which residue r is the strided slice from
-    (r - r0) // base by s. When s > 2 * len(residues), as for +-1 mod
-    2*10**6, most of that progression is in no residue, and each residue
-    is a group of its own, with base = m and s = 1. This layout is chosen
-    once, before the first segment. Up to the last k whose members all
-    have base flags, every k when limit <= BASE, a segment's sieve is the
-    flags' strided slice from k0*m + r0 by base, so the segment reads
-    each residue from the flags by a strided slice; past it, the sieve is
-    built and struck. Each sieving prime keeps at most one entry per
-    group, a stride and the next j it strikes; the sieving primes are the
-    base primes, and only a walk past BASE**2 takes more, from one
-    ``primes_up_to`` list that doubles as the walk needs it. The segment's
-    per-residue lists are merged. The walk stops past limit, if any.
+    Residue r's members are r + k*m. Up to the last k whose members all
+    have base flags, every k when limit <= BASE, a segment reads each
+    residue's primes by compress over the flags' strided slice from
+    k0*m + r by m, and merges the residues: there members are at most
+    BASE, and about a quarter of them prime.
+
+    Past it, one sieve per segment holds the progression r0 + j*base that
+    every residue lies on, where r0 is the least residue, base = gcd(m,
+    r - r0 for each r) and s = m // base: s*(k1 - k0) bytes, whose offset
+    t = j mod s holds residue r0 + t*base or, at a hole, no residue. When
+    s > 2 * len(residues), as for +-1 mod 2*10**6, most of that
+    progression is holes, and each residue is a group of its own, with
+    base = m and s = 1. This layout, and its mask of s bytes, 1 at each
+    residue's offset and 0 at each hole, are chosen once, before the
+    first segment. A sieve starts as the mask tiled once per k and is
+    struck. Each sieving prime keeps at most one entry per group, a
+    stride and the next j it strikes; the sieving primes are the base
+    primes, and only a walk past BASE**2 takes more, from one
+    ``primes_up_to`` list that doubles as the walk needs it. The walk
+    stops past limit, if any.
+
+    A sieve's primes are read off it in one ascending pass, a piece of
+    _PIECE bytes at a time, with no per-residue copy and no merge. With
+    its 1s made newlines, a piece splits into lines that each end at a
+    prime, as long as that prime's distance in members from the one
+    before, so the running sum of their lengths times base gives the
+    primes; the line after the last prime is left unread. The read costs
+    a few steps per prime, where compress costs one per member: it is
+    the cheaper past BASE, where primes are sparse. Only separate groups'
+    lists are merged.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it.
     A sieving prime's entries are made once, when a sieved segment first
     reaches its square; each segment carries them past its end.
 
-    A scan may send where it stops: the next segment then ends at the last
-    k whose least member is at most that, but spans _FIRST_SEGMENT k values
-    or more, and the one after grows from it. A stop moves only where
-    segments end, never which primes are yielded. A segment may be empty.
+    A scan may send where it stops: the next segment then ends
+    _FIRST_SEGMENT k values past the last k whose least member is at most
+    that, or spans _FIRST_SEGMENT if that k lies before it, so it seldom
+    lacks the first prime past the stop; the one after grows from it.
+    A stop moves only where segments end, never which primes are yielded.
+    A segment may be empty.
     """
     if not classes.residues:
         raise ValueError("candidate class has an empty residue set")
@@ -306,24 +331,33 @@ def class_segments(classes, limit=None):
     # The k values below read have every member's flag in the base sieve.
     (flags, primes), top = _BASE, BASE  # sieving primes up to top
     read = (BASE - residues[-1]) // m + 1 if cap > BASE + 1 else math.inf
-    # The layout: (r0, offsets, plan) per progression r0 + j*base.
+    # The layout: (r0, plan) per progression r0 + j*base, s members per k.
+    # All residues share one unless it is more than half outside them.
     base = math.gcd(m, *(r - residues[0] for r in residues))
+    base = m if m // base > 2 * len(residues) else base
     s = m // base
-    if s > 2 * len(residues):
-        base, s = m, 1
-        groups = [(r, [0], []) for r in residues]
-    else:
-        groups = [(residues[0], [(r - residues[0]) // base for r in residues], [])]
+    groups = [(r, []) for r in residues] if s == 1 else [(residues[0], [])]
+    # mask[t] = 1 iff offset t, r0 + t*base, is a residue; the holes are not.
+    mask = bytes(map(set(residues).__contains__, range(residues[0], residues[0] + m, base)))
     planned, k0, end, size, stop = 0, 0, 0, _FIRST_SEGMENT, None
     while k0 * m + residues[0] < cap:
         if k0 == end:  # the next segment of the schedule
             n = size if stop is None else min(
-                size, max(_FIRST_SEGMENT, (stop - residues[0]) // m + 1 - k0))
+                size, max(k0, (stop - residues[0]) // m + 1) - k0 + _FIRST_SEGMENT)
             if limit is not None:
                 n = min(n, (limit - residues[0]) // m + 1 - k0)
             end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
         k1 = read if k0 < read < end else end  # cut where the flags end
-        if k1 > read:  # a sieved segment: plan the primes up to its root
+        if k1 <= read:
+            # A flag segment's primes are dense, so compress over each
+            # residue's slice of the flags lists them for less than lines.
+            # No slice comes up short: read keeps (k1 - 1)*m + r <= BASE
+            # for every r, and when read is unbounded, every member listed
+            # is below cap <= BASE + 1.
+            lists = [list(itertools.compress(range(k0 * m + r, min(k1 * m + r, cap), m),
+                                             flags[k0 * m + r : k1 * m + r : m]))
+                     for r in residues]
+        else:  # a sieved segment: plan the primes up to its root
             root = math.isqrt((k1 - 1) * m + residues[-1])
             if root > top:  # a walk past top**2: at least double the list
                 top = max(root, min(2 * top, MAX_SIEVE))
@@ -335,24 +369,17 @@ def class_segments(classes, limit=None):
                 # entry [p, j] holds the next. If p | base, p strikes every
                 # member (stride 1) when p | r0, none otherwise.
                 inverse = pow(base, -1, p) if base % p else 0  # one per prime
-                for r0, _, plan in groups:
+                for r0, plan in groups:
                     j = max(k0 * s, -((r0 - p * p) // base))
                     if inverse:
                         plan.append([p, j + (-r0 * inverse - j) % p])
                     elif r0 % p == 0:
                         plan.append([1, j])
             planned = count
-        lists, width = [], s * (k1 - k0)
-        for r0, offsets, plan in groups:
-            low = k0 * m + r0
-            if k1 <= read:
-                # The flags are the sieve. The slice comes up short only
-                # past the last member any offset reads: read keeps
-                # r + (k1 - 1)*m <= BASE for every residue, and when read
-                # is unbounded, every member read is below cap <= BASE + 1.
-                sieve = flags[low : low + width * base : base]
-            else:
-                sieve = bytearray([1]) * width
+            lists, width = [[] for _ in groups], s * (k1 - k0)
+            for (r0, plan), segment in zip(groups, lists):
+                low = k0 * m + r0
+                sieve = bytearray(mask) * (k1 - k0)
                 zeros = len(range(low, 2, base))  # 0 and 1 are not prime
                 sieve[:zeros] = bytes(zeros)
                 for entry in plan:
@@ -362,10 +389,16 @@ def class_segments(classes, limit=None):
                         strikes = (width - 1 - i) // p + 1
                         sieve[i::p] = bytes(strikes)
                         entry[1] += strikes * p
-            for t in offsets:
-                r = r0 + t * base
-                lists.append(list(itertools.compress(
-                    range(k0 * m + r, min(k1 * m + r, cap), m), sieve[t::s])))
+                # Members past limit, in the walk's last segment only.
+                del sieve[len(range(low, min(low + width * base, cap), base)) :]
+                for i in range(0, len(sieve), _PIECE):
+                    # Line lengths times base are the gaps between its primes,
+                    # the first from low + (i - 1)*base; the line after its
+                    # last 1 holds no prime.
+                    lines = io.BytesIO(sieve[i : i + _PIECE].replace(b"\x01", b"\n"))
+                    gaps = map(operator.mul, map(len, lines), itertools.repeat(base))
+                    found = itertools.accumulate(gaps, initial=low + (i - 1) * base)
+                    segment += itertools.islice(found, 1, sieve.count(1, i, i + _PIECE) + 1)
         stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
         k0 = k1
 

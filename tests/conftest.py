@@ -102,17 +102,18 @@ def no_sieve(monkeypatch):
 
 @pytest.fixture
 def sieved(monkeypatch):
-    """The widths of the class-walk sieves made from here on, one per
-    progression of a sieved segment: each starts as bytearray([1]) * width,
-    where a segment read from the base flags is sliced from them."""
+    """The byte counts of the class-walk sieves made from here on, one per
+    progression of a sieved segment: each starts as the progression's
+    residue mask tiled once per k value, bytearray(mask) * (k1 - k0), where
+    a segment read from the base flags is sliced from them."""
     from fermatkit import primes
 
     widths = []
 
     class Counted(bytearray):
-        def __mul__(self, width):
-            widths.append(width)
-            return bytearray(self) * width
+        def __mul__(self, times):
+            widths.append(len(self) * times)
+            return bytearray(self) * times
 
     monkeypatch.setattr(primes, "bytearray", Counted, raising=False)
     return widths

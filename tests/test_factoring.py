@@ -316,10 +316,12 @@ class TestClassSieveScan:
         # yielded over tried primes is bounded only for scans whose stop
         # no hit lowered. A segment that started a bytearray was sieved;
         # one that did not was read from the base sieve's flags. From the
-        # base sieve, to BASE = 2**16, segments growing 8x sieve 170
-        # segments and read 262; from flags to 1024 they sieve 288, and
-        # with none read, 379. The bound keeps the schedule, the flag read
-        # and the base sieve's reach there.
+        # base sieve, to BASE = 2**16, segments growing 8x sieve 128
+        # segments and read 259; from flags to 1024 they sieve 243, and
+        # with none read, 334; and ended at a stop's k, so that the prime
+        # past it takes a segment more, they sieve 170. The exact count
+        # keeps the schedule, the flag read, the base sieve's reach and the
+        # segment's reach past the stop there.
         scan, segments, scans = factoring.class_scan, factoring.class_segments, []
 
         def counted_segments(classes):
@@ -354,7 +356,7 @@ class TestClassSieveScan:
             if n != 122:
                 factor_mersenne(n, budget=10**7)
         assert len(scans) == 186
-        assert sum(r["sieved"] for r in scans) <= 200
+        assert sum(r["sieved"] for r in scans) == 128
         for r in scans:
             one_segment = primes._FIRST_SEGMENT * len(r["cls"].residues)
             past = [p for p in r["yielded"] if p > r["first_stop"]]

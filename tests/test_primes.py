@@ -874,6 +874,23 @@ class TestClassSegments:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_the_read_holds_pieces_not_segments(self):
+        # 1 mod 116 to 10**7: 86,207 k values, past the 65,536-k cap, so
+        # the last segment holds 48,767 members, a byte each. The walk's
+        # lists and last sieve peak about 142 KiB above the list returned,
+        # and a read of pieces of 2**14 bytes about one piece more, 158
+        # KiB; read whole, the last segment took 190 KiB. The bound leaves
+        # room for two pieces.
+        cls = generalized_class(116)
+        tracemalloc.start()
+        try:
+            found = primes_in_classes(10**7, cls)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 11868
+        assert peak - current < (142 + 32) * 1024
+
     def test_first_members_past_a_sieving_square(self, cold_sieve, class_walk):
         # Every member is past 2*2, and residue 10 past 3*3: their first
         # strike is at k = 0, in the first segment, never before it; 3's
@@ -914,10 +931,10 @@ class TestClassSegments:
 
     def test_a_dense_class_sieves_one_progression(self, sieved, class_walk):
         # The 8 units mod 30 lie on the odd numbers 1 + 2j, s = 15 <= 2*8:
-        # a sieved segment is one sieve of 15 bytes per k, each unit a
-        # strided slice of it. The flags end at k = 2,184 and the limit
-        # 10**6 at 33,334, so five segments, the last two sieved, each the
-        # walk's primes in its k values.
+        # a sieved segment is one sieve of 15 bytes per k, the units' mask
+        # tiled, with the other 7 odd offsets as holes. The flags end at
+        # k = 2,184 and the limit 10**6 at 33,334, so five segments, the
+        # last two sieved, each the walk's primes in its k values.
         units = frozenset(r for r in range(30) if math.gcd(r, 30) == 1)
         cls = CandidateClass(30, units, 2)
         segments = list(class_segments(cls, 10**6))
@@ -1060,13 +1077,14 @@ class TestFlagPrefix:
         assert flat == list(itertools.islice(class_walk(cls), len(flat)))
 
     # Sent stops below, at and past the last member with a flag, 133*488 +
-    # 367: after the first segment, the next ends at the stop's k, 100,
-    # 133 or 200, and is cut where the flags end at k = 134. The first
-    # sieved segment then ends at k = 198, 64 past the prefix, or at 201:
-    # one sieve of 4 bytes per k, the progression 1 + 122j that holds
-    # both residues.
+    # 367: after the first segment, the next ends 64 k values past the
+    # stop's k, 100, 133 or 200, at 165, 198 or 265, and is cut where the
+    # flags end at k = 134. The first sieved segment then ends at k = 198,
+    # 64 past the prefix, or at 265, so the first prime past the stop comes
+    # from the segment that holds the stop: one sieve of 4 bytes per k, the
+    # progression 1 + 122j that holds both residues.
     @pytest.mark.parametrize("stop,sieved_to", [
-        (100 * 488 + 1, None), (133 * 488 + 367, 198), (200 * 488 + 1, 201)],
+        (100 * 488 + 1, None), (133 * 488 + 367, 198), (200 * 488 + 1, 265)],
         ids=["below", "at", "past"])
     def test_sent_stops(self, no_sieve, sieved, class_walk, stop, sieved_to):
         segments = class_segments(REFINED_61)
