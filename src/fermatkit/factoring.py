@@ -162,11 +162,11 @@ def class_scan(cofactor, cls, budget=None):
     pending run of misses, one MISS_RUN step once a hit or the end follows.
     A segment read to its end sends stop to the sieve, whose next segment
     then runs 64 k values past the stop's k, so the candidate past the
-    stop that ends the scan seldom takes a segment more. Past the base
-    flags a segment's primes are read off one sieve of the class's
-    progression, its residues' mask tiled and struck, 2**14 bytes at a
-    time, as the lines it splits into at its primes; below, off the
-    flags, residue by residue (see ``primes.class_segments``).
+    stop that ends the scan seldom takes a segment more. A segment's
+    primes are read off one sieve of the class's progression, the base
+    flags' slice below 2**16 and struck past it, with the members in no
+    residue zeroed, 2**14 bytes at a time, as the lines it splits into
+    at its primes (see ``primes.class_segments``).
     The last step is a CANDIDATE_HIT that leaves 1, COFACTOR_PRIME, or
     BUDGET_EXHAUSTED; a caller may stop reading at any step.
     """

@@ -25,12 +25,12 @@ gcds with the products of the base primes 32 at a time. A cofactor past
 with a step cap past which the caller gets ValueError.
 
 ``class_segments`` is the one walk over the primes of a residue class, a
-segment at a time. As far as the base flags reach, it reads each
-residue's primes off a strided slice of them. Past them it sieves, with
-one sieve for the progression the residues share when it is at most
-half outside them: the residues' mask tiled and struck, whose primes
-are read in order, 2**14 bytes at a time, as the lines a piece splits
-into once its 1s are made newlines. Its one scanning caller,
+segment at a time, with one sieve for the progression the residues
+share when it is at most half outside them. As far as the base flags
+reach, the sieve is a strided slice of them, and past them it is
+sieved; either way its holes, the members in no residue, are zeroed,
+and its primes are read in order, 2**14 bytes at a time, as the lines
+a piece splits into at its primes. Its one scanning caller,
 ``factoring.class_scan``, sends it where the scan stops, and the
 segment that holds the stop runs 64 k values past it, so the first
 prime past the stop seldom takes another segment. Segments grow 8x
@@ -50,10 +50,12 @@ import operator
 
 
 def _sieve(limit):
-    """Sieve of Eratosthenes to limit >= 2: (flags, primes), flags[n] = 1
-    iff n is prime. Past the even numbers, each odd prime strikes only its
-    odd multiples, and the list after 2 is read from the odd flags."""
-    flags = bytearray([1]) * (limit + 1)
+    """Sieve of Eratosthenes to limit >= 2: (flags, primes), flags[n] = 10,
+    a newline, iff n is prime, else 0, so that the class walk reads the
+    primes of a slice of the flags as line ends. Past the even numbers,
+    each odd prime strikes only its odd multiples, and the list after 2 is
+    read from the odd flags."""
+    flags = bytearray(b"\n") * (limit + 1)
     flags[0] = flags[1] = 0
     flags[4::2] = bytes(len(range(4, limit + 1, 2)))
     for p in range(3, math.isqrt(limit) + 1, 2):
@@ -109,7 +111,7 @@ def is_prime(n):
     """
     flags = _BASE[0]
     if 0 <= n < len(flags):
-        return flags[n] == 1
+        return flags[n] != 0
     if n < 2:
         return False
     for a in _BASES:
@@ -271,8 +273,8 @@ def prime_factors(n):
 _FIRST_SEGMENT = 64
 _GROWTH = 8
 _MAX_SEGMENT = 1 << 16
-# Sieve bytes read at a time: a piece's copy with newlines and the line
-# reader's buffer are each a piece long, not a segment (up to s * 2**16).
+# Sieve bytes read at a time: the line reader's copy of a piece is a
+# piece long, not a segment (up to s * 2**16).
 _PIECE = 1 << 14
 
 
@@ -280,36 +282,29 @@ def class_segments(classes, limit=None):
     """Primes p with p mod classes.modulus in classes.residues, as ascending
     lists, one per sieve segment of k values; together they ascend.
 
-    Residue r's members are r + k*m. Up to the last k whose members all
-    have base flags, every k when limit <= BASE, a segment reads each
-    residue's primes by compress over the flags' strided slice from
-    k0*m + r by m, and merges the residues: there members are at most
-    BASE, and about a quarter of them prime.
-
-    Past it, one sieve per segment holds the progression r0 + j*base that
-    every residue lies on, where r0 is the least residue, base = gcd(m,
-    r - r0 for each r) and s = m // base: s*(k1 - k0) bytes, whose offset
-    t = j mod s holds residue r0 + t*base or, at a hole, no residue. When
-    s > 2 * len(residues), as for +-1 mod 2*10**6, most of that
-    progression is holes, and each residue is a group of its own, with
-    base = m and s = 1. This layout, and its mask of s bytes, 1 at each
-    residue's offset and 0 at each hole, are chosen once, before the
-    first segment. A sieve starts as the mask tiled once per k and is
-    struck. Each sieving prime keeps at most one entry per group, a
-    stride and the next j it strikes; the sieving primes are the base
-    primes, and only a walk past BASE**2 takes more, from one
-    ``primes_up_to`` list that doubles as the walk needs it. The walk
-    stops past limit, if any.
+    Residue r's members are r + k*m. One sieve per segment holds the
+    progression r0 + j*base that every residue lies on, where r0 is the
+    least residue, base = gcd(m, r - r0 for each r) and s = m // base:
+    s*(k1 - k0) bytes, whose offset t = j mod s holds residue r0 + t*base
+    or, at a hole, no residue. When s > 2 * len(residues), as for +-1 mod
+    2*10**6, most of that progression is holes, and each residue is a
+    group of its own, with base = m and s = 1. This layout, and its
+    holes, are chosen once, before the first segment. A sieve marks a
+    prime by a newline, as the base flags do. Up to the last k whose
+    members all have base flags, every k when limit <= BASE, it is the
+    flags' strided slice from k0*m + r0 by base; past it, it starts as
+    newlines and is struck. Then its holes are zeroed. Each sieving prime
+    keeps at most one entry per group, a stride and the next j it
+    strikes; the sieving primes are the base primes, and only a walk past
+    BASE**2 takes more, from one ``primes_up_to`` list that doubles as the
+    walk needs it. The walk stops past limit, if any.
 
     A sieve's primes are read off it in one ascending pass, a piece of
-    _PIECE bytes at a time, with no per-residue copy and no merge. With
-    its 1s made newlines, a piece splits into lines that each end at a
-    prime, as long as that prime's distance in members from the one
-    before, so the running sum of their lengths times base gives the
-    primes; the line after the last prime is left unread. The read costs
-    a few steps per prime, where compress costs one per member: it is
-    the cheaper past BASE, where primes are sparse. Only separate groups'
-    lists are merged.
+    _PIECE bytes at a time, with no per-residue copy and no merge. A
+    piece splits into lines that each end at a prime, as long as that
+    prime's distance in members from the one before, so the running sum
+    of their lengths times base gives the primes; the line after the
+    last prime is left unread. Only separate groups' lists are merged.
 
     Segments span _FIRST_SEGMENT k values, then _GROWTH times the last up
     to _MAX_SEGMENT; the one holding the last flagged k is cut after it.
@@ -337,8 +332,8 @@ def class_segments(classes, limit=None):
     base = m if m // base > 2 * len(residues) else base
     s = m // base
     groups = [(r, []) for r in residues] if s == 1 else [(residues[0], [])]
-    # mask[t] = 1 iff offset t, r0 + t*base, is a residue; the holes are not.
-    mask = bytes(map(set(residues).__contains__, range(residues[0], residues[0] + m, base)))
+    # The holes: the offsets t whose members r0 + t*base are in no residue.
+    holes = [t for t in range(s) if residues[0] + t * base not in classes.residues]
     planned, k0, end, size, stop = 0, 0, 0, _FIRST_SEGMENT, None
     while k0 * m + residues[0] < cap:
         if k0 == end:  # the next segment of the schedule
@@ -348,16 +343,7 @@ def class_segments(classes, limit=None):
                 n = min(n, (limit - residues[0]) // m + 1 - k0)
             end, size = k0 + n, min(_GROWTH * n, _MAX_SEGMENT)
         k1 = read if k0 < read < end else end  # cut where the flags end
-        if k1 <= read:
-            # A flag segment's primes are dense, so compress over each
-            # residue's slice of the flags lists them for less than lines.
-            # No slice comes up short: read keeps (k1 - 1)*m + r <= BASE
-            # for every r, and when read is unbounded, every member listed
-            # is below cap <= BASE + 1.
-            lists = [list(itertools.compress(range(k0 * m + r, min(k1 * m + r, cap), m),
-                                             flags[k0 * m + r : k1 * m + r : m]))
-                     for r in residues]
-        else:  # a sieved segment: plan the primes up to its root
+        if k1 > read:  # a sieved segment: plan the primes up to its root
             root = math.isqrt((k1 - 1) * m + residues[-1])
             if root > top:  # a walk past top**2: at least double the list
                 top = max(root, min(2 * top, MAX_SIEVE))
@@ -376,10 +362,17 @@ def class_segments(classes, limit=None):
                     elif r0 % p == 0:
                         plan.append([1, j])
             planned = count
-            lists, width = [[] for _ in groups], s * (k1 - k0)
-            for (r0, plan), segment in zip(groups, lists):
-                low = k0 * m + r0
-                sieve = bytearray(mask) * (k1 - k0)
+        segment, width = [], s * (k1 - k0)
+        for r0, plan in groups:
+            low = k0 * m + r0
+            if k1 <= read:
+                # The flags are the sieve. The slice comes up short only
+                # past the last residue's member: read keeps
+                # r + (k1 - 1)*m <= BASE for every residue, and when read
+                # is unbounded, every member read is below cap <= BASE + 1.
+                sieve = flags[low : low + width * base : base]
+            else:
+                sieve = bytearray(b"\n") * width
                 zeros = len(range(low, 2, base))  # 0 and 1 are not prime
                 sieve[:zeros] = bytes(zeros)
                 for entry in plan:
@@ -389,17 +382,20 @@ def class_segments(classes, limit=None):
                         strikes = (width - 1 - i) // p + 1
                         sieve[i::p] = bytes(strikes)
                         entry[1] += strikes * p
-                # Members past limit, in the walk's last segment only.
-                del sieve[len(range(low, min(low + width * base, cap), base)) :]
-                for i in range(0, len(sieve), _PIECE):
-                    # Line lengths times base are the gaps between its primes,
-                    # the first from low + (i - 1)*base; the line after its
-                    # last 1 holds no prime.
-                    lines = io.BytesIO(sieve[i : i + _PIECE].replace(b"\x01", b"\n"))
-                    gaps = map(operator.mul, map(len, lines), itertools.repeat(base))
-                    found = itertools.accumulate(gaps, initial=low + (i - 1) * base)
-                    segment += itertools.islice(found, 1, sieve.count(1, i, i + _PIECE) + 1)
-        stop = yield lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists))
+            for t in holes:
+                sieve[t::s] = bytes(len(range(t, len(sieve), s)))
+            # Members past limit, in the walk's last segment only.
+            del sieve[len(range(low, min(low + width * base, cap), base)) :]
+            for i in range(0, len(sieve), _PIECE):
+                # The piece's lines end at its primes, so their lengths times
+                # base are the gaps between them, the first from
+                # low + (i - 1)*base; the line after its last newline holds
+                # no prime.
+                lines = io.BytesIO(memoryview(sieve)[i : i + _PIECE])
+                gaps = map(operator.mul, map(len, lines), itertools.repeat(base))
+                found = itertools.accumulate(gaps, initial=low + (i - 1) * base)
+                segment += itertools.islice(found, 1, sieve.count(10, i, i + _PIECE) + 1)
+        stop = yield segment if len(groups) == 1 else sorted(segment)
         k0 = k1
 
 

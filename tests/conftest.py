@@ -102,18 +102,18 @@ def no_sieve(monkeypatch):
 
 @pytest.fixture
 def sieved(monkeypatch):
-    """The byte counts of the class-walk sieves made from here on, one per
-    progression of a sieved segment: each starts as the progression's
-    residue mask tiled once per k value, bytearray(mask) * (k1 - k0), where
-    a segment read from the base flags is sliced from them."""
+    """The widths of the class-walk sieves made from here on, one per
+    progression of a sieved segment: each starts as a newline per member,
+    bytearray(b"\n") * width, where a segment read from the base flags is
+    sliced from them."""
     from fermatkit import primes
 
     widths = []
 
     class Counted(bytearray):
-        def __mul__(self, times):
-            widths.append(len(self) * times)
-            return bytearray(self) * times
+        def __mul__(self, width):
+            widths.append(width)
+            return bytearray(self) * width
 
     monkeypatch.setattr(primes, "bytearray", Counted, raising=False)
     return widths

@@ -85,12 +85,13 @@ class TestSieve:
     @pytest.mark.parametrize("limit", [*range(2, 301), 1 << 16])
     def test_odd_only_sieve_is_exact(self, oracle_primes, limit):
         # Flags and list from the odd flags alone, after 2, against this
-        # suite's own sieve; limits 2 and 3 have no odd composite.
+        # suite's own sieve; limits 2 and 3 have no odd composite. A prime's
+        # flag is 10, a newline, and every other flag 0.
         expected = [p for p in oracle_primes(17) if p <= limit]
         flags, found = primes._sieve(limit)
         assert found == expected
         members = set(expected)
-        assert flags == bytearray(n in members for n in range(limit + 1))
+        assert flags == bytearray(10 * (n in members) for n in range(limit + 1))
 
     def test_the_base_holds_pi_base_primes(self, oracle_primes):
         # The base sieve holds the pi(2**16) primes that prime_factors
@@ -874,22 +875,29 @@ class TestClassSegments:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_the_read_holds_pieces_not_segments(self):
+    def test_the_read_holds_pieces_not_segments(self, monkeypatch):
         # 1 mod 116 to 10**7: 86,207 k values, past the 65,536-k cap, so
-        # the last segment holds 48,767 members, a byte each. The walk's
-        # lists and last sieve peak about 142 KiB above the list returned,
-        # and a read of pieces of 2**14 bytes about one piece more, 158
-        # KiB; read whole, the last segment took 190 KiB. The bound leaves
-        # room for two pieces.
+        # the last segment holds 48,767 members, a byte each. Only the
+        # read's copy of a piece depends on the piece size, so the peak
+        # above the list returned rises over a read of 1 KiB pieces by
+        # about a piece: about 15 KiB for pieces of 2**14 bytes, and 47
+        # KiB for pieces of 2**20, a whole segment (CPython 3.10 to 3.13).
+        # The bound is two pieces of 2**14 bytes.
         cls = generalized_class(116)
-        tracemalloc.start()
-        try:
-            found = primes_in_classes(10**7, cls)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(found) == 11868
-        assert peak - current < (142 + 32) * 1024
+        peaks = {}
+        for piece in (1024, 1 << 20, primes._PIECE):
+            monkeypatch.setattr(primes, "_PIECE", piece)
+            tracemalloc.start()
+            try:
+                found = primes_in_classes(10**7, cls)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(found) == 11868
+            peaks[piece] = peak - current
+        bound = 2 * 2**14
+        assert peaks[1 << 20] - peaks[1024] > bound  # a whole segment shows
+        assert peaks[primes._PIECE] - peaks[1024] < bound
 
     def test_first_members_past_a_sieving_square(self, cold_sieve, class_walk):
         # Every member is past 2*2, and residue 10 past 3*3: their first
@@ -931,8 +939,8 @@ class TestClassSegments:
 
     def test_a_dense_class_sieves_one_progression(self, sieved, class_walk):
         # The 8 units mod 30 lie on the odd numbers 1 + 2j, s = 15 <= 2*8:
-        # a sieved segment is one sieve of 15 bytes per k, the units' mask
-        # tiled, with the other 7 odd offsets as holes. The flags end at
+        # a sieved segment is one sieve of 15 bytes per k, the other 7 odd
+        # offsets holes that are zeroed after the strikes. The flags end at
         # k = 2,184 and the limit 10**6 at 33,334, so five segments, the
         # last two sieved, each the walk's primes in its k values.
         units = frozenset(r for r in range(30) if math.gcd(r, 30) == 1)
