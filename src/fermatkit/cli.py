@@ -1,11 +1,13 @@
-"""Command-line interface: parse, call the library, print what ``render`` gives.
+"""Command-line interface: parse, call the library, write what ``render`` gives.
 
-Every result comes from the library and its text from ``render``; the one
-line written here is the error line of a ``ValueError``. Exit codes: 0 on
-success (and all replay items passing), 1 when a replay item or sweep
-finds a mismatch, 2 on usage or domain errors, 141 (128 + SIGPIPE) when
-stdout is closed before the output is written, as by ``| head``; that
-case prints nothing to stderr.
+Each command returns its exit code and ``render``'s lines; ``main`` writes
+them in one place, with the interpreter's int-to-str digit cap lifted for
+the write alone and restored on every exit. The one other line written is
+the error line of a ``ValueError``, raised before the cap is lifted. Exit
+codes: 0 on success (and all replay items passing), 1 when a replay item
+or sweep finds a mismatch, 2 on usage or domain errors, 141 (128 +
+SIGPIPE) when stdout is closed before the output is written, as by
+``| head``; that case prints nothing to stderr.
 """
 
 import argparse
@@ -83,40 +85,39 @@ def build_parser():
 def _cmd_factor(args):
     fact, trace = factor_mersenne(args.n, args.budget, args.refined)
     lines_of = render.factor_json if args.json else render.factor_lines
-    # M_n has more digits than the interpreter's int-to-str cap from
-    # n = 14,285 on: lift it for this output alone, then put it back.
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        sys.stdout.writelines(lines_of(args.n, fact, trace))
-    finally:
-        sys.set_int_max_str_digits(cap)
-    return 0
+    return 0, lines_of(args.n, fact, trace)
 
 
 def _cmd_order(args):
     record = order(args.base, args.m)
-    print(render.order_text(record))
-    return 0
+    return 0, render.order_text(record)
 
 
 def _cmd_verify_flt(args):
     sweep = flt_sweep(args.max_p, args.bases)
-    sys.stdout.writelines(render.sweep_lines(sweep))
-    return 1 if sweep.counterexamples else 0
+    return 1 if sweep.counterexamples else 0, render.sweep_lines(sweep)
 
 
 def _cmd_candidates(args):
     cls = primitive_class(args.q) if args.refined else generalized_class(args.q)
-    limit = args.limit if args.limit is not None else isqrt(mersenne(args.q))
+    limit = args.limit
+    if limit is None:
+        # isqrt(2**q - 1) takes time of order q**2. Where str() refuses
+        # 1 << (q - 1) // 2, a lower bound of the same bit length, the walk
+        # gets the bound, and its member check refuses it by that length.
+        limit = 1 << (args.q - 1) // 2
+        try:
+            str(limit)
+        except ValueError:
+            pass
+        else:
+            limit = isqrt(mersenne(args.q))
     found = primes_in_classes(limit, cls)
-    sys.stdout.writelines(render.candidates_lines(args.q, cls, limit, found))
-    return 0
+    return 0, render.candidates_lines(args.q, cls, limit, found)
 
 
 def _cmd_perfect(args):
-    print(render.challenge_text(frenicle_scan(args.min_digits, args.max_exponent)))
-    return 0
+    return 0, render.challenge_text(frenicle_scan(args.min_digits, args.max_exponent))
 
 
 def _cmd_replay(args):
@@ -124,12 +125,8 @@ def _cmd_replay(args):
         reports = replay_all()
     else:
         reports = [SCENARIOS[args.scenario]()]
-    if args.json:
-        print(render.reports_json(reports))
-    else:
-        for report in reports:
-            print(render.render_report(report))
-    return 0 if all(r.overall for r in reports) else 1
+    lines = render.reports_json(reports) if args.json else render.render_report(reports)
+    return 0 if all(r.overall for r in reports) else 1, lines
 
 
 _COMMANDS = {
@@ -145,8 +142,14 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = sys.get_int_max_str_digits()
     try:
-        code = _COMMANDS[args.command](args)
+        code, lines = _COMMANDS[args.command](args)
+        # A number past the interpreter's int-to-str digit cap, as M_n is
+        # from n = 14,285 on, is written whole: the cap is lifted for the
+        # write alone, after the command has run.
+        sys.set_int_max_str_digits(0)
+        sys.stdout.writelines(lines)
         sys.stdout.flush()
         return code
     except ValueError as exc:
@@ -157,6 +160,8 @@ def main(argv=None):
         # the flush at interpreter exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -160,13 +160,9 @@ def class_scan(cofactor, cls, budget=None):
     Each segment is cut at stop = min(isqrt(cofactor), budget) and searched
     for its first divisor in one pass; the candidates before it extend the
     pending run of misses, one MISS_RUN step once a hit or the end follows.
-    A segment read to its end sends stop to the sieve, whose next segment
-    then runs 64 k values past the stop's k, so the candidate past the
-    stop that ends the scan seldom takes a segment more. A segment's
-    primes are read off one sieve of the class's progression, the base
-    flags' slice below 2**16 and struck past it, with the members in no
-    residue zeroed, 2**14 bytes at a time, as the lines it splits into
-    at its primes (see ``primes.class_segments``).
+    A segment read to its end sends stop to the walk, so the candidate
+    past the stop that ends the scan seldom takes a segment more; how each
+    segment is sieved and read is ``primes.class_segments``' to say.
     The last step is a CANDIDATE_HIT that leaves 1, COFACTOR_PRIME, or
     BUDGET_EXHAUSTED; a caller may stop reading at any step.
     """

@@ -3,11 +3,12 @@
 reports: the one place they are written.
 
 JSON forms write every number as a decimal string (values exceed 64 bits).
-A factor trace or candidate list can run to a million lines, so its text
-and JSON forms are yielded in pieces for the caller to write as they are
-made; a run of misses in a trace is written as one candidate-miss line or
-entry per candidate. ``json`` is imported only by the functions that
-write JSON, to keep it off CLI start-up.
+Every form the CLI writes is yielded as newline-terminated lines, or
+pieces of them, for the caller to write as they are made: a factor trace
+or candidate list can run to a million lines. A run of misses in a trace
+is written as one candidate-miss line or entry per candidate. ``json`` is
+imported only by the functions that write JSON, to keep it off CLI
+start-up.
 """
 
 from .factoring import (
@@ -101,7 +102,7 @@ def factor_json(n, fact, trace):
 
 
 def order_text(record):
-    return f"order of {record.base} mod {record.modulus} = {record.order}"
+    yield f"order of {record.base} mod {record.modulus} = {record.order}\n"
 
 
 def sweep_lines(sweep):
@@ -120,18 +121,15 @@ def candidates_lines(q, cls, limit, found):
 
 
 def challenge_text(report):
-    lines = [
-        f"exponent {v.exponent}: {v.verdict} "
-        f"({_VERDICT_TEXT[v.verdict].format(v=v)})"
-        for v in report.examined
-    ]
+    for v in report.examined:
+        yield (f"exponent {v.exponent}: {v.verdict} "
+               f"({_VERDICT_TEXT[v.verdict].format(v=v)})\n")
     out = report.outcome
     if out is None:
-        lines.append(f"no perfect number with at least {report.min_digits} digits")
+        yield f"no perfect number with at least {report.min_digits} digits\n"
     else:
-        lines.append(f"found: {out.perfect_number} ({out.digits} digits, "
-                     f"exponent {out.exponent})")
-    return "\n".join(lines)
+        yield (f"found: {out.perfect_number} ({out.digits} digits, "
+               f"exponent {out.exponent})\n")
 
 
 def report_to_dict(report):
@@ -140,20 +138,19 @@ def report_to_dict(report):
     return {"scenario": report.scenario, "items": items, "overall": report.overall}
 
 
-def render_report(report):
-    lines = [f"scenario: {report.scenario}"]
-    for item in report.items:
-        mark = "pass" if item.passed else "FAIL"
-        line = f"  [{mark}] {item.label}: {item.computed}"
-        if not item.passed:
-            line += f" (expected {item.expected})"
-        lines.append(line)
-    lines.append(f"overall: {'pass' if report.overall else 'FAIL'}")
-    return "\n".join(lines)
+def render_report(reports):
+    for report in reports:
+        yield f"scenario: {report.scenario}\n"
+        for item in report.items:
+            mark = "pass" if item.passed else "FAIL"
+            expected = "" if item.passed else f" (expected {item.expected})"
+            yield f"  [{mark}] {item.label}: {item.computed}{expected}\n"
+        yield f"overall: {'pass' if report.overall else 'FAIL'}\n"
 
 
 def reports_json(reports):
-    """One report as an object, several as a list."""
+    """One report as an object, several as a list, and a newline."""
     import json
     docs = [report_to_dict(r) for r in reports]
-    return json.dumps(docs[0] if len(docs) == 1 else docs, indent=2)
+    yield json.dumps(docs[0] if len(docs) == 1 else docs, indent=2)
+    yield "\n"

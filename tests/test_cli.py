@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import fermatkit
 from fermatkit.cli import main
+from fermatkit.perfect import MERSENNE_PRIME, ChallengeReport, ExponentVerdict, euclid_perfect
 
 
 def run(capsys, *argv):
@@ -125,10 +127,12 @@ class TestVerifyFlt:
         monkeypatch.setattr(fermatkit.mersenne, "order",
                             lambda a, m: order(a, m)._replace(order=4) if m == 7
                             else order(a, m))
+        cap = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "verify-flt", "--max-p", "10", "--bases", "2,3")
         assert (code, out, err) == (
             1, "counterexample: order 4 of 2 mod 7 does not divide 6\n"
                "9 checks, 1 counterexamples\n", "")
+        assert sys.get_int_max_str_digits() == cap
 
 
 class TestCandidates:
@@ -182,11 +186,25 @@ class TestCandidates:
     def test_limit_past_the_digit_cap_exits_2(self, capsys):
         # isqrt(2**100000 - 1) = 2**50000 - 1 has 15,052 digits, past the
         # 4,300 that str() of an int writes by default: the limit is named
-        # by its bit length.
+        # by its bit length. The cap is lifted only once a command has
+        # run, and is back after the refusal.
+        cap = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "candidates", "--q", "100000")
         assert (code, out) == (2, "")
         assert err == ("error: a class walk stops at 16777216 members,"
                        " got a 50000-bit limit\n")
+        assert sys.get_int_max_str_digits() == cap
+
+    def test_long_default_limit_is_refused_at_once(self, capsys):
+        # isqrt(2**q - 1) takes time of order q**2, about 30 s for q = 10**7.
+        # Past str()'s digit cap the walk gets 1 << (q - 1) // 2, a lower
+        # bound of the same bit length, and refuses it as it would the root.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "candidates", "--q", "10000000")
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err == ("error: a class walk stops at 16777216 members,"
+                       " got a 5000000-bit limit\n")
 
 
 class TestPerfect:
@@ -205,6 +223,31 @@ class TestPerfect:
         )
         assert code == 0
         assert "found: 6 (1 digits, exponent 2)" in out
+
+    def test_perfect_number_past_the_digit_cap(self, capsys, monkeypatch):
+        # The perfect number of M9689 has 5,834 digits, past the 4,300 that
+        # str() of an int writes by default: main lifts the cap while it
+        # writes and puts it back. The scan itself is stubbed; run whole,
+        # it takes minutes.
+        record = euclid_perfect(9689)
+        report = ChallengeReport(4301, (ExponentVerdict(9689, MERSENNE_PRIME, digits=5834),),
+                                 record)
+        monkeypatch.setattr(fermatkit.cli, "frenicle_scan", lambda *args: report)
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "perfect", "--min-digits", "4301",
+                             "--max-exponent", "9689")
+        assert sys.get_int_max_str_digits() == cap
+        assert (code, err) == (0, "")
+        last = out.splitlines()[-1]
+        assert last.startswith("found: ")
+        assert last.endswith(" (5834 digits, exponent 9689)")
+        digits = last[len("found: "):-len(" (5834 digits, exponent 9689)")]
+        assert len(digits) == 5834 and digits.isdigit()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == record.perfect_number
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 class TestReplay:

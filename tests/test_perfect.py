@@ -160,11 +160,11 @@ class TestFrenicleScan:
         assert report.outcome.digits == 37
 
     def test_every_verdict_renders(self):
-        text = challenge_text(frenicle_scan(20, 61, budget=10**4))
+        text = "".join(challenge_text(frenicle_scan(20, 61, budget=10**4)))
         assert "exponent 31: mersenne-prime (perfect number has 19 digits)" in text
         assert "exponent 43: imposter (witness factor 431)" in text
         assert "exponent 59: unresolved (scan budget exhausted)" in text
-        assert text.endswith("(37 digits, exponent 61)")
+        assert text.endswith("(37 digits, exponent 61)\n")
 
     def test_witnesses_are_least_factors_to_100(self):
         # Each imposter's witness is the least prime factor of 2**p - 1, by

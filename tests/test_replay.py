@@ -104,9 +104,9 @@ class TestDiffMachinery:
 
 class TestDeterminism:
     def test_reports_are_byte_identical_across_runs(self):
-        first = [render_report(r) for r in replay_all()]
+        first = "".join(render_report(replay_all()))
         clear_cache()
-        second = [render_report(r) for r in replay_all()]
+        second = "".join(render_report(replay_all()))
         assert first == second
 
 
@@ -130,9 +130,9 @@ class TestSerialization:
 
     def test_render_marks_failures(self):
         report = _build_report("demo", [("x", "1", "2")])
-        text = render_report(report)
+        text = "".join(render_report([report]))
         assert "[FAIL] x: 1 (expected 2)" in text
-        assert text.endswith("overall: FAIL")
+        assert text.endswith("overall: FAIL\n")
 
 
 def test_expected_tables_cover_contiguous_ranges():
