@@ -8,6 +8,8 @@ are exact: no floating point anywhere.
 
 import math
 
+from .primes import prime_factors
+
 
 class Record:
     """Base of the namedtuple records: == holds only within one record type."""
@@ -65,15 +67,10 @@ def digit_count(n):
 
 
 def divisors(n):
-    """All divisors of n >= 1 in ascending order, by trial division."""
+    """Divisors of n >= 1, ascending, from ``prime_factors(n)``; raises as it does."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    found = [1]
+    for p, e in prime_factors(n) if n > 1 else ():
+        found += [d * p**k for k in range(1, e + 1) for d in found]
+    return sorted(found)

@@ -12,7 +12,7 @@ item 5 is the check that can fail). ``order`` reduces φ, from
 from collections import namedtuple
 
 from .kernel import Record, gcd
-from .primes import is_prime, prime_factors, primes_up_to
+from .primes import _divide_out, is_prime, prime_factors, primes_up_to
 
 
 class OrderRecord(Record, namedtuple("OrderRecord", "base modulus order")):
@@ -171,15 +171,16 @@ def second_proposition_check(p):
 def first_proposition_witness(n):
     """(d, M_d) witnessing that a composite exponent gives a composite value.
 
-    d is n's least prime divisor: the first of the primes up to 1021 to
-    divide n, else the least prime of ``prime_factors(n)``. An n with no
-    such small prime that ``prime_factors`` cannot factor, such as 1000003
-    times a prime past psi_13, raises ValueError. 2**d - 1 then properly
-    divides 2**n - 1.
+    d is n's least prime divisor: the least found by the gcds of
+    ``prime_factors`` over the base primes up to isqrt(n), at most 65521,
+    else the least prime of ``prime_factors(n)``, which runs only then. So
+    it raises ValueError where ``prime_factors`` raises, as for 1000003
+    times a prime past psi_13. 2**d - 1 then properly divides 2**n - 1.
     """
     if n >= 4:
-        small = (p for p in primes_up_to(1021) if n % p == 0)
-        d = next(small, None) or prime_factors(n)[0][0]
+        found = []
+        _divide_out(n, found)
+        d = found[0][0] if found else prime_factors(n)[0][0]
         if d < n:
             return d, mersenne(d)
     raise ValueError(f"requires a composite n >= 4, got {n}")

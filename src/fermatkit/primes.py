@@ -402,12 +402,13 @@ def class_segments(classes, limit=None):
 def primes_in_classes(limit, classes):
     """Primes p <= limit with p mod classes.modulus in classes.residues.
 
-    A walk over more than MAX_SIEVE members, counted as the k values up to
-    limit times the residues, raises ValueError before any segment: its
-    list could hold that many primes. The error names the limit, or its
-    bit length where the limit is too long for str().
+    A walk over more than MAX_SIEVE members, the k values up to limit times
+    the residues, so limit >= MAX_SIEVE // len(residues) * modulus, raises
+    ValueError before any segment, and no quotient of the limit is formed.
+    The error names the limit, or its bit length past str()'s digit cap.
     """
-    if (limit // classes.modulus + 1) * len(classes.residues) > MAX_SIEVE:
+    residues = len(classes.residues)  # none: class_segments raises
+    if residues and limit >= MAX_SIEVE // residues * classes.modulus:
         try:
             shown = f"limit {limit}"
         except ValueError:  # past the interpreter's int-to-str digit cap

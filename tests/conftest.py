@@ -152,6 +152,26 @@ def factor_loop():
     return trial_division_factors
 
 
+def trial_division_divisors(n):
+    """The loop divisors replaced, kept as its oracle: the divisors of n >= 1
+    in ascending order, from every d up to isqrt(n) that divides n, paired
+    with n // d."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+@pytest.fixture
+def divisor_loop():
+    return trial_division_divisors
+
+
 # The largest flag table walk_class grows: past it, a walk as sparse as a
 # class of modulus 2*10**6 to 10**9 trial-divides its few members instead.
 _WALK_FLAG_BITS = 24

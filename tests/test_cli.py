@@ -333,6 +333,26 @@ def test_factor_61_json_peaks_below_150_mib():
     assert int(proc.stdout) / 1024 < 150
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_candidates_refuses_a_long_limit_below_128_mib():
+    # The walk gets the 500,000,000-bit bound 1 << (q - 1) // 2, 62.5 MB,
+    # and refuses it by one comparison, without a quotient of its size.
+    script = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'fermatkit.cli', 'candidates',"
+        " '--q', '1000000000'], stderr=subprocess.PIPE, text=True)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "print(proc.stderr, end='')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=120, check=True)
+    status, err = proc.stdout.split("\n", 1)
+    code, peak = map(int, status.split())
+    assert (code, err) == (2, "error: a class walk stops at 16777216 members,"
+                              " got a 500000000-bit limit\n")
+    assert peak / 1024 < 128
+
+
 # Exact stdout of representative commands, so any change to a text or
 # JSON form shows up as a diff rather than slipping past a substring check.
 GOLDEN_STDOUT = {

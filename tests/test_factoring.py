@@ -16,12 +16,13 @@ from fermatkit.factoring import (
     PROPAGATED,
     Factorization,
     FactorTrace,
+    TraceStep,
     clear_cache,
     factor_mersenne,
     factor_nat,
     verify,
 )
-from fermatkit.forms import primitive_class
+from fermatkit.forms import generalized_class, primitive_class
 from fermatkit.kernel import isqrt
 from fermatkit.mersenne import mersenne, order
 
@@ -285,6 +286,12 @@ class TestCompleteCache:
 
 
 class TestClassSieveScan:
+    def test_a_hit_that_leaves_1_ends_the_scan(self):
+        # 1093, a Wieferich prime, is 1 mod 364, and 1093**2 divides
+        # 2**364 - 1: one hit leaves 1, with no cofactor-prime step after it.
+        assert list(factoring.class_scan(1093**2, generalized_class(364))) == [
+            TraceStep(CANDIDATE_HIT, 1093, multiplicity=2)]
+
     def test_sieved_scan_matches_walk(self, cold_memo, class_walk, monkeypatch):
         def run():
             clear_cache()

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fermatkit.kernel import digit_count, divisors, gcd, isqrt, modpow
+from fermatkit.mersenne import mersenne
 
 
 class TestModpow:
@@ -130,3 +133,24 @@ class TestDivisors:
     def test_matches_brute_force(self):
         for n in range(1, 300):
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_matches_trial_division_to_30000(self, divisor_loop):
+        for n in range(1, 30001):
+            assert divisors(n) == divisor_loop(n), n
+
+    def test_matches_trial_division_below_10_to_9(self, divisor_loop):
+        # The loop takes isqrt(n) steps, up to 31,622 here.
+        rng = random.Random(61)
+        for n in (rng.randrange(1, 10**9) for _ in range(100)):
+            assert divisors(n) == divisor_loop(n), n
+
+    def test_a_61_bit_prime(self):
+        # Trying every d up to isqrt(2**61 - 1), about 1.5e9 of them, took
+        # over 3 minutes on a 2-core host; the base primes' gcds leave a
+        # prime that the strong test proves, below psi_13.
+        assert divisors(2**61 - 1) == [1, 2**61 - 1]
+
+    def test_unfactorable_raises(self):
+        # M89 is a prime past psi_13, which prime_factors cannot prove.
+        with pytest.raises(ValueError, match="cannot factor"):
+            divisors(mersenne(89))

@@ -347,9 +347,22 @@ class TestFirstProposition:
             assert value % factor == 0 and 1 < factor < value
 
     def test_stops_at_the_least_divisor(self):
-        # Listing the divisors of 2**100 means trial division to its square
-        # root 2**50; the witness needs only the first divisor past 1.
+        # The first of the base primes' gcds finds 2; the witness needs n's
+        # least prime alone, not its factorization or its divisors.
         assert first_proposition_witness(2**100) == (2, 3)
+
+    def test_least_prime_matches_trial_division_to_30000(self, factor_loop):
+        for n in range(4, 30001):
+            (p, e), *rest = factor_loop(n)
+            if e == 1 and not rest:  # n is prime
+                continue
+            assert first_proposition_witness(n) == (p, mersenne(p)), n
+
+    def test_least_divisor_among_the_base_primes(self, cold_sieve):
+        # 65521, the last base prime, is found by the base primes' gcds, so
+        # prime_factors never meets M89, a prime past psi_13 it cannot prove.
+        n = 65521 * mersenne(89)
+        assert first_proposition_witness(n) == (65521, mersenne(65521))
 
     def test_large_least_divisor(self, cold_sieve):
         # No base prime, up to 65521, divides 1000003**2, so the least

@@ -564,6 +564,9 @@ def count_gcds(monkeypatch):
 
 
 class TestProductTree:
+    """prime_factors' two gcds over the base primes and its block walk; the
+    class keeps the name of the product tree they replaced."""
+
     @pytest.mark.parametrize("level,j,end", TREE_EDGES)
     def test_node_edge_products(self, sieve_state, oracle_primes, factor_loop,
                                 level, j, end):
@@ -619,15 +622,14 @@ class TestProductTree:
         assert time.perf_counter() - start < 1
         assert len(calls) <= 207
 
-    def test_a_prime_near_10_to_9_takes_at_most_6_gcds(self, monkeypatch):
+    def test_a_prime_near_10_to_9_takes_2_gcds(self, monkeypatch):
         # 3,401 primes up to isqrt(LARGE_PRIME): one gcd with the primes
         # below 2**7, one with those below 2**15, and no block is walked.
         calls = count_gcds(monkeypatch)
         assert prime_factors(LARGE_PRIME) == ((LARGE_PRIME, 1),)
         assert len(calls) == 2
 
-    def test_a_prime_near_10_to_12_takes_at_most_8_gcds(self, cold_sieve,
-                                                        monkeypatch):
+    def test_a_prime_near_10_to_12_takes_2_gcds(self, cold_sieve, monkeypatch):
         # The 6,542 base primes: one gcd with those below 2**7, one with
         # those below 2**16, and no block is walked.
         calls = count_gcds(monkeypatch)
