@@ -1,7 +1,7 @@
 """Computational toolkit for Mersenne numbers and perfect numbers.
 
 Implements the classical 1640-era machinery: multiplicative orders and
-the power-residue theorem, divisor propagation between Mersenne numbers,
+the power-residue theorem, the primitive parts of Mersenne numbers,
 residue-class restrictions on candidate divisors, restricted trial
 factoring, Euclid's perfect-number construction, and replays of the
 historical computations with embedded expected values.

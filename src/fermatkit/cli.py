@@ -20,7 +20,7 @@ from .forms import generalized_class, primitive_class
 from .kernel import isqrt
 from .mersenne import flt_sweep, mersenne, order
 from .perfect import frenicle_scan
-from .primes import primes_in_classes
+from .primes import _walk_refusal, primes_in_classes
 from .replay import SCENARIOS, replay_all
 
 
@@ -102,16 +102,14 @@ def _cmd_candidates(args):
     cls = primitive_class(args.q) if args.refined else generalized_class(args.q)
     limit = args.limit
     if limit is None:
-        # isqrt(2**q - 1) takes time of order q**2. Where str() refuses
-        # 1 << (q - 1) // 2, a lower bound of the same bit length, the walk
-        # gets the bound, and its member check refuses it by that length.
-        limit = 1 << (args.q - 1) // 2
-        try:
-            str(limit)
-        except ValueError:
-            pass
-        else:
-            limit = isqrt(mersenne(args.q))
+        # isqrt(2**q - 1) has (q + 1) // 2 bits and takes time of order q**2.
+        # Past 4 bits per digit of str()'s cap (0: none) it has more digits
+        # than str() writes, and a walk to it is refused by that bit length:
+        # q alone decides it, and no limit is formed.
+        bits = (args.q + 1) // 2
+        if bits > 4 * sys.get_int_max_str_digits() > 0:
+            raise _walk_refusal(bits)
+        limit = isqrt(mersenne(args.q))
     found = primes_in_classes(limit, cls)
     return 0, render.candidates_lines(args.q, cls, limit, found)
 

@@ -1,15 +1,16 @@
-"""Factoring 2**n - 1 by divisor propagation plus restricted trial division.
+"""Factoring 2**n - 1 by primitive parts and restricted trial division.
 
-The pipeline mirrors the 1640 method: primes of 2**d - 1 for proper
-divisors d of n are divided out first (to full multiplicity), then the
-remaining cofactor is divided only by the primes of its admissible
-residue class, in increasing order, so no composite candidate is ever
-tried. The scan, ``class_scan``, takes them a segment at a time from the
-class sieve ``primes.class_segments``, which it tells where it stops, and
-finds each segment's first divisor in one pass; a cofactor with no
-divisor up to its square root is prime. It is the library's one walk over
-a class: Frenicle's witness is its first hit, and the M31 replay reads
-its trace. ``factor_nat`` wraps ``primes.prime_factors``.
+A prime q of 2**n - 1 is primitive for one divisor d of n, the order of 2
+mod q, and Fermat's theorem puts it in 1 mod d. So 2**n - 1 is the
+product of the primitive parts of its divisors, and each part is divided
+only by the primes of its admissible residue class, in increasing order,
+so no composite candidate is ever tried. The scan, ``class_scan``, takes
+them a segment at a time from the class sieve ``primes.class_segments``,
+which it tells where it stops, and finds each segment's first divisor in
+one pass; a part with no divisor up to its square root is prime, under
+any budget. It is the library's one walk over a class: Frenicle's
+witness is its first hit, and the M31 replay reads its trace.
+``factor_nat`` wraps ``primes.prime_factors``.
 
 The scan yields the trace, and the factors are read off its steps. It
 keeps every candidate tried, but not one step per candidate: each maximal
@@ -92,66 +93,66 @@ def factor_nat(n):
 
 
 def clear_cache():
-    """Drop memoized factorizations (test isolation hook)."""
-    _complete.cache_clear()
+    """Drop the cached factors of primitive parts (test isolation hook)."""
+    _part.cache_clear()
 
 
 def factor_mersenne(n, budget=None, refined=True):
     """Factor 2**n - 1; returns (Factorization, FactorTrace).
 
-    budget caps the largest candidate value tried in the restricted
-    scan (default: the square root of the running cofactor, i.e. run to
+    2**n - 1 is the product of the primitive parts of the divisors of n.
+    Each proper divisor d's part is scanned once per budget, through
+    ``forms.primitive_class(d)`` whichever class n takes, and only its
+    factors are cached. Each of its primes q becomes a PROPAGATED step
+    with source d, the order of 2 mod q, and multiplicity e + v_q(n/d),
+    by lifting the exponent. n's own part is scanned with its trace.
+
+    budget caps the largest candidate value tried in every part's scan
+    (default: the square root of the running cofactor, i.e. run to
     completion). refined selects ``forms.primitive_class(n)``, halved by
     the quadratic character of 2 for every n not 0 mod 4; otherwise the
-    plain class 1 mod n (mod 2n for odd n) is used. Unbudgeted results are
-    cached, and the proper divisors are factored by the refined class
-    either way: a complete factorization has the same primes whichever
-    class found them.
+    plain class 1 mod n (mod 2n for odd n) is used.
     """
     if n < 2:
         raise ValueError(f"factor_mersenne requires n >= 2, got {n}")
-    if budget is None:
-        return _complete(n, refined)
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    return _factor_mersenne_uncached(n, budget, refined)
-
-
-@functools.cache
-def _complete(n, refined):
-    return _factor_mersenne_uncached(n, None, refined)
-
-
-def _factor_mersenne_uncached(n, budget, refined):
     value = mersenne(n)
-    cofactor = value
-    steps = []
+    # Ascending primes, each with its order d. v_q(n/d) = v_q(n), since
+    # q = 1 mod d cannot divide d.
+    found = sorted((q, d, e) for d in divisors(n)[1:-1] for q, e in _part(d, budget))
+    lift = dict(prime_factors(n))
+    steps = [TraceStep(PROPAGATED, q, d, e + lift.get(q, 0)) for q, d, e in found]
 
-    # Inherited primes: every prime of 2**d - 1 for proper d | n divides
-    # 2**n - 1. Keep the smallest d each prime came from.
-    inherited = {}
-    for d in divisors(n):
-        if d == 1 or d == n:
-            continue
-        sub, _ = factor_mersenne(d)
-        for p, _e in sub.factors:
-            inherited.setdefault(p, d)
-    for p in sorted(inherited):
-        e = 0
-        while cofactor % p == 0:
-            cofactor //= p
-            e += 1
-        steps.append(TraceStep(PROPAGATED, p, source=inherited[p], multiplicity=e))
-
-    if cofactor > 1:
+    part = _primitive_part(n, lift)
+    if part > 1:
         cls = primitive_class(n) if refined else generalized_class(n)
-        steps += class_scan(cofactor, cls, budget)
+        steps += class_scan(part, cls, budget)
 
     # Only the steps that divide something out carry a multiplicity.
     factors = tuple(sorted((s.value, s.multiplicity) for s in steps if s.multiplicity))
     left = value // math.prod(p**e for p, e in factors)
     fact = Factorization(value, factors, PARTIAL if left > 1 else COMPLETE, left)
     return fact, FactorTrace(tuple(steps))
+
+
+def _primitive_part(n, primes):
+    """Phi_n(2) / gcd(Phi_n(2), n): 2**n - 1 stripped, for each r of primes,
+    the primes of n, of every prime of 2**(n/r) - 1 to its full multiplicity."""
+    part = mersenne(n)
+    for r in primes:
+        while (g := math.gcd(part, mersenne(n // r))) > 1:
+            part //= g
+    return part
+
+
+@functools.cache
+def _part(d, budget):
+    """The (prime, multiplicity) pairs that a scan of d's primitive part
+    through ``primitive_class(d)`` finds within budget."""
+    part = _primitive_part(d, dict(prime_factors(d)))
+    steps = class_scan(part, primitive_class(d), budget) if part > 1 else ()
+    return tuple((s.value, s.multiplicity) for s in steps if s.multiplicity)
 
 
 def class_scan(cofactor, cls, budget=None):

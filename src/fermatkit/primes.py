@@ -404,14 +404,23 @@ def primes_in_classes(limit, classes):
 
     A walk over more than MAX_SIEVE members, the k values up to limit times
     the residues, so limit >= MAX_SIEVE // len(residues) * modulus, raises
-    ValueError before any segment, and no quotient of the limit is formed.
-    The error names the limit, or its bit length past str()'s digit cap.
+    ``_walk_refusal``'s ValueError before any segment, and no quotient of
+    the limit is formed.
     """
     residues = len(classes.residues)  # none: class_segments raises
     if residues and limit >= MAX_SIEVE // residues * classes.modulus:
+        raise _walk_refusal(limit.bit_length(), limit)
+    return list(itertools.chain.from_iterable(class_segments(classes, limit)))
+
+
+def _walk_refusal(bits, limit=None):
+    """The ValueError of a class walk past MAX_SIEVE members to a limit of
+    bits bits. It names the limit, or its bit length where no limit is
+    given or the limit is past str()'s digit cap."""
+    shown = f"a {bits}-bit limit"
+    if limit is not None:
         try:
             shown = f"limit {limit}"
         except ValueError:  # past the interpreter's int-to-str digit cap
-            shown = f"a {limit.bit_length()}-bit limit"
-        raise ValueError(f"a class walk stops at {MAX_SIEVE} members, got {shown}")
-    return list(itertools.chain.from_iterable(class_segments(classes, limit)))
+            pass
+    return ValueError(f"a class walk stops at {MAX_SIEVE} members, got {shown}")

@@ -47,6 +47,17 @@ class TestFactor:
         assert "status: partial" in out
         assert "scan stopped at budget 200" in out
 
+    @pytest.mark.parametrize("n", [178, 166])
+    def test_budget_caps_every_part(self, capsys, n):
+        # The budget caps the scan of M89's or M83's part as it does
+        # M_n's own: with none, either walk heads for the square root of
+        # a cofactor past 10**22.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "factor", str(n), "--budget", "1000")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out.split("\n")[1] == "status: partial"
+
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run(capsys, "factor", "1")
         assert code == 2
@@ -197,8 +208,8 @@ class TestCandidates:
 
     def test_long_default_limit_is_refused_at_once(self, capsys):
         # isqrt(2**q - 1) takes time of order q**2, about 30 s for q = 10**7.
-        # Past str()'s digit cap the walk gets 1 << (q - 1) // 2, a lower
-        # bound of the same bit length, and refuses it as it would the root.
+        # Past str()'s digit cap q alone decides the refusal, which names
+        # the root's bit length, (q + 1) // 2, as it would the root's.
         start = time.perf_counter()
         code, out, err = run(capsys, "candidates", "--q", "10000000")
         assert time.perf_counter() - start < 10
@@ -333,14 +344,14 @@ def test_factor_61_json_peaks_below_150_mib():
     assert int(proc.stdout) / 1024 < 150
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_candidates_refuses_a_long_limit_below_128_mib():
-    # The walk gets the 500,000,000-bit bound 1 << (q - 1) // 2, 62.5 MB,
-    # and refuses it by one comparison, without a quotient of its size.
+def _candidates_peak(q):
+    """Exit code, peak RSS in KiB and stderr of ``candidates --q q``."""
+    # A wrapper waits for the command alone, so RUSAGE_CHILDREN reads the
+    # command's own peak.
     script = (
         "import resource, subprocess, sys\n"
         "proc = subprocess.run([sys.executable, '-m', 'fermatkit.cli', 'candidates',"
-        " '--q', '1000000000'], stderr=subprocess.PIPE, text=True)\n"
+        f" '--q', '{q}'], stderr=subprocess.PIPE, text=True)\n"
         "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "print(proc.stderr, end='')\n"
     )
@@ -348,9 +359,22 @@ def test_candidates_refuses_a_long_limit_below_128_mib():
                           env=_subprocess_env(), timeout=120, check=True)
     status, err = proc.stdout.split("\n", 1)
     code, peak = map(int, status.split())
+    return code, peak, err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_candidates_refuses_a_long_limit_below_128_mib():
+    # q alone decides the refusal past str()'s digit cap: no limit is
+    # formed, where the bound 1 << (q - 1) // 2 alone would be 62.5 MB,
+    # so q = 10**9 peaks within a few MiB of q = 67, whose limit is.
+    code, small, err = _candidates_peak(67)
+    assert (code, err) == (2, "error: a class walk stops at 16777216 members,"
+                              " got limit 12148001999\n")
+    code, large, err = _candidates_peak(10**9)
     assert (code, err) == (2, "error: a class walk stops at 16777216 members,"
                               " got a 500000000-bit limit\n")
-    assert peak / 1024 < 128
+    assert large / 1024 < 128
+    assert (large - small) / 1024 < 4
 
 
 # Exact stdout of representative commands, so any change to a text or

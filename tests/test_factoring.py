@@ -25,6 +25,7 @@ from fermatkit.factoring import (
 from fermatkit.forms import generalized_class, primitive_class
 from fermatkit.kernel import isqrt
 from fermatkit.mersenne import mersenne, order
+from fermatkit.primes import prime_factors
 
 
 class TestFactorNat:
@@ -104,12 +105,24 @@ class TestFactorMersenne:
 
 class TestTrace:
     def test_propagated_factors_have_dividing_order(self):
-        for n in range(2, 41):
-            _, trace = factor_mersenne(n)
+        # sympy's n_order is the oracle: a prime carried from a proper
+        # divisor's part names the part of its order, and a hit of n's own
+        # scan has order n.
+        n_order = pytest.importorskip("sympy").n_order
+        for n in range(2, 129):
+            _, trace = factor_mersenne(n, 10**7)
             for step in trace.steps:
                 if step.rule == PROPAGATED:
-                    assert step.source is not None
-                    assert step.source % order(2, step.value).order == 0
+                    assert n_order(2, step.value) == step.source, (n, step)
+                elif step.rule == CANDIDATE_HIT:
+                    assert n_order(2, step.value) == n, (n, step)
+
+    def test_primitive_part_is_the_cyclotomic_value_over_its_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(2, 257):
+            phi = int(sympy.cyclotomic_poly(n, 2))
+            part = factoring._primitive_part(n, dict(prime_factors(n)))
+            assert part == phi // sympy.gcd(phi, n), n
 
     def test_candidate_hits_are_primitive(self):
         for n in range(2, 41):
@@ -238,7 +251,8 @@ def cold_memo():
 
 
 class TestCompleteCache:
-    # M60 recurses into its ten proper divisors above 1: eleven exponents.
+    # M60's ten proper divisors above 1 each have a cached part; M6's is 1,
+    # since Phi_6(2) = 3 divides 6, so it is never scanned.
     DIVISORS = (2, 3, 4, 5, 6, 10, 12, 15, 20, 30)
 
     def test_threads_from_a_cold_cache(self, cold_memo):
@@ -261,25 +275,30 @@ class TestCompleteCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [single] * 4
-        assert factoring._complete.cache_info().currsize == 11
-        assert factor_mersenne(60) is factor_mersenne(60)
+        # The parts' factors are cached, not M60's result or any trace.
+        assert factoring._part.cache_info().currsize == 10
 
     def test_unrefined_recursion_uses_the_refined_class(self, cold_memo, monkeypatch):
         # A complete factorization has the same primes whichever class
-        # found them, so the divisors of an --unrefined call are factored
-        # once, through the refined class, and shared with refined calls.
-        calls, uncached = [], factoring._factor_mersenne_uncached
+        # found them, so the proper divisors' parts of an --unrefined call
+        # are scanned once, through the refined class, and shared with
+        # refined calls.
+        calls, scan = [], factoring.class_scan
 
-        def spy(*args):
-            calls.append(args)
-            return uncached(*args)
+        def spy(cofactor, cls, budget=None):
+            calls.append((cofactor, cls, budget))
+            return scan(cofactor, cls, budget)
 
-        monkeypatch.setattr(factoring, "_factor_mersenne_uncached", spy)
+        monkeypatch.setattr(factoring, "class_scan", spy)
+        def part(d):
+            return factoring._primitive_part(d, dict(prime_factors(d)))
+
         plain, plain_trace = factor_mersenne(60, refined=False)
-        assert calls[0] == (60, None, False)
-        assert sorted(calls[1:]) == [(d, None, True) for d in self.DIVISORS]
+        assert calls == [(part(d), primitive_class(d), None)
+                         for d in self.DIVISORS if d != 6] + [
+                         (part(60), generalized_class(60), None)]
         refined, refined_trace = factor_mersenne(60)
-        assert calls[11:] == [(60, None, True)]
+        assert calls[10:] == [(part(60), primitive_class(60), None)]
         assert plain == refined
         assert ([s for s in plain_trace.steps if s.rule == PROPAGATED]
                 == [s for s in refined_trace.steps if s.rule == PROPAGATED])
@@ -389,14 +408,15 @@ class TestClassSieveScan:
         assert fact.factors == ((mersenne(61), 1),)
         assert len(trace.candidates_tried()) == 629227
         assert trace.hits() == []
-        # One run of every miss, then the proof: the memo holds two steps.
+        # One run of every miss, then the proof: two steps.
         assert [s.rule for s in trace.steps] == [MISS_RUN, COFACTOR_PRIME]
         assert len(trace.steps[0].value) == 629227
 
     def test_m122_with_budget_returns(self, cold_memo):
-        # The unbudgeted recursion into M61 now completes within seconds.
+        # The budget caps the scan of M61's part as it does M122's own:
+        # below 10**7 neither has a factor, so only M2's 3 is found.
         fact, trace = factor_mersenne(122, budget=10**7)
         assert fact.status == PARTIAL
-        assert fact.factors == ((3, 1), (mersenne(61), 1))
-        assert fact.unresolved_cofactor == (2**61 + 1) // 3
+        assert fact.factors == ((3, 1),)
+        assert fact.unresolved_cofactor == mersenne(61) * (2**61 + 1) // 3
         assert trace.steps[-1].rule == BUDGET_EXHAUSTED
