@@ -8,8 +8,10 @@ so no composite candidate is ever tried. The scan, ``class_scan``, takes
 them a segment at a time from the class sieve ``primes.class_segments``,
 which it tells where it stops, and finds each segment's first divisor in
 one pass; a part with no divisor up to its square root is prime, under
-any budget. It is the library's one walk over a class: Frenicle's
-witness is its first hit, and the M31 replay reads its trace.
+any budget. For n = 4h, h odd, Aurifeuille's identity first splits the
+part by one gcd into two coprime halves, each scanned alone. The scan is
+the library's one walk over a class: Frenicle's witness is its first
+hit, and the M31 replay reads its trace.
 ``factor_nat`` wraps ``primes.prime_factors``.
 
 The scan yields the trace, and the factors are read off its steps. It
@@ -26,7 +28,7 @@ import operator
 from collections import namedtuple
 
 from .forms import generalized_class, primitive_class
-from .kernel import Record, divisors, isqrt
+from .kernel import Record, expand_divisors, isqrt
 from .mersenne import mersenne
 from .primes import class_segments, is_prime, prime_factors
 
@@ -34,6 +36,7 @@ COMPLETE = "complete"
 PARTIAL = "partial"
 
 PROPAGATED = "propagated"
+ALGEBRAIC_SPLIT = "algebraic-split"
 MISS_RUN = "candidate-miss-run"
 CANDIDATE_MISS = "candidate-miss"  # how render writes each member of a run
 CANDIDATE_HIT = "candidate-hit"
@@ -58,9 +61,9 @@ class TraceStep(Record, namedtuple(
     """One pipeline event.
 
     value is the prime divided out, the candidate that hit, the scan
-    bound, or, for MISS_RUN, the ascending tuple of the candidates
-    missed in a row; source is the exponent d a propagated prime came
-    from.
+    bound, for MISS_RUN the ascending tuple of the candidates missed in
+    a row, or for ALGEBRAIC_SPLIT the pair of halves scanned in turn;
+    source is the exponent d a propagated prime came from.
     """
 
     __slots__ = ()
@@ -73,7 +76,8 @@ class FactorTrace(Record, namedtuple("FactorTrace", "steps")):
     __slots__ = ()
 
     def candidates_tried(self):
-        """Every candidate divided, ascending: run members and hits."""
+        """Every candidate divided, run members and hits: ascending, or,
+        after an ALGEBRAIC_SPLIT, ascending within each half's scan."""
         tried = []
         for s in self.steps:
             if s.rule == MISS_RUN:
@@ -109,9 +113,12 @@ def factor_mersenne(n, budget=None, refined=True):
 
     budget caps the largest candidate value tried in every part's scan
     (default: the square root of the running cofactor, i.e. run to
-    completion). refined selects ``forms.primitive_class(n)``, halved by
-    the quadratic character of 2 for every n not 0 mod 4; otherwise the
-    plain class 1 mod n (mod 2n for odd n) is used.
+    completion). refined scans n's part as the proper divisors' parts
+    are scanned: through ``forms.primitive_class(n)``, halved by the
+    quadratic character of 2 for every n but 4 mod 8, and for n = 4 mod 8
+    as Aurifeuille's two halves when they split it (one ALGEBRAIC_SPLIT
+    step, then each half's scan). Otherwise n's part is scanned whole
+    through the plain class 1 mod n (mod 2n for odd n).
     """
     if n < 2:
         raise ValueError(f"factor_mersenne requires n >= 2, got {n}")
@@ -120,14 +127,15 @@ def factor_mersenne(n, budget=None, refined=True):
     value = mersenne(n)
     # Ascending primes, each with its order d. v_q(n/d) = v_q(n), since
     # q = 1 mod d cannot divide d.
-    found = sorted((q, d, e) for d in divisors(n)[1:-1] for q, e in _part(d, budget))
     lift = dict(prime_factors(n))
+    found = sorted((q, d, e) for d in expand_divisors(lift.items())[1:-1]
+                   for q, e in _part(d, budget))
     steps = [TraceStep(PROPAGATED, q, d, e + lift.get(q, 0)) for q, d, e in found]
 
     part = _primitive_part(n, lift)
     if part > 1:
-        cls = primitive_class(n) if refined else generalized_class(n)
-        steps += class_scan(part, cls, budget)
+        steps += (_refined_scan(n, part, budget) if refined
+                  else class_scan(part, generalized_class(n), budget))
 
     # Only the steps that divide something out carry a multiplicity.
     factors = tuple(sorted((s.value, s.multiplicity) for s in steps if s.multiplicity))
@@ -148,11 +156,32 @@ def _primitive_part(n, primes):
 
 @functools.cache
 def _part(d, budget):
-    """The (prime, multiplicity) pairs that a scan of d's primitive part
-    through ``primitive_class(d)`` finds within budget."""
+    """The (prime, multiplicity) pairs that ``_refined_scan`` of d's
+    primitive part finds within budget."""
     part = _primitive_part(d, dict(prime_factors(d)))
-    steps = class_scan(part, primitive_class(d), budget) if part > 1 else ()
+    steps = _refined_scan(d, part, budget) if part > 1 else ()
     return tuple((s.value, s.multiplicity) for s in steps if s.multiplicity)
+
+
+def _refined_scan(n, part, budget):
+    """class_scan of n's primitive part > 1 through ``primitive_class(n)``.
+
+    For n = 4h, h odd, 2**(2h) + 1 = (2**h - 2**((h+1)/2) + 1) *
+    (2**h + 2**((h+1)/2) + 1) (Aurifeuille), and the two factors are
+    coprime: both are odd and they differ by a power of 2. The part
+    divides the product, so its gcd with the first and the quotient are
+    coprime halves; when both exceed 1 they are scanned in turn, after
+    one ALGEBRAIC_SPLIT step.
+    """
+    cls = primitive_class(n)
+    if n % 8 == 4:
+        h = n // 4
+        g = math.gcd(part, (1 << h) - (1 << (h + 1) // 2) + 1)
+        if 1 < g < part:
+            yield TraceStep(ALGEBRAIC_SPLIT, (g, part // g))
+            yield from class_scan(g, cls, budget)
+            part //= g
+    yield from class_scan(part, cls, budget)
 
 
 def class_scan(cofactor, cls, budget=None):

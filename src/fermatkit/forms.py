@@ -3,8 +3,9 @@
 A primitive prime divisor of 2**q - 1, one that divides no 2**d - 1 for
 a proper divisor d of q, is 1 mod q (mod 2q when q is odd); for an odd
 prime q every prime divisor is primitive. The quadratic character of 2
-halves that class for every q not 0 mod 4: such a prime is +-1 mod 8
-for odd q, 1 or 3 mod 8 for q = 2 mod 4.
+halves that class for every q but 4 mod 8: such a prime is +-1 mod 8
+for odd q, 1 or 3 mod 8 for q = 2 mod 4, and for 8 | q it is 1 mod 8,
+so 2 is a square mod it and it is 1 mod 2q.
 """
 
 from collections import namedtuple
@@ -72,10 +73,15 @@ def primitive_class(q):
     with h odd, so -2 is a square and p = 1 or 3 mod 8. Then h is odd, and
     the members of [1, 8h) that are 1 mod 2h, 1, 1 + 2h, 1 + 4h and 1 + 6h,
     lie one in each odd class mod 8: the two in those classes are kept,
-    two residues mod 8h. For q = 0 mod 4 it is ``generalized_class(q)``.
+    two residues mod 8h. For q = 0 mod 8, p = 1 mod 8, so 2 is a square
+    mod p, 2**((p-1)/2) = 1 and q | (p - 1)/2: the class is 1 mod 2q
+    (Lucas's 1 mod 128 for 2**32 + 1). For q = 4 mod 8, where p may be
+    5 mod 8, it is ``generalized_class(q)``.
     """
     if q < 2:
         raise ValueError(f"primitive_class requires q >= 2, got {q}")
+    if q % 8 == 0:
+        return CandidateClass(2 * q, frozenset({1}), q)
     if q % 4 == 0:
         return generalized_class(q)
     h, kept = (q, (1, 7)) if q % 2 else (q // 2, (1, 3))

@@ -70,7 +70,13 @@ def divisors(n):
     """Divisors of n >= 1, ascending, from ``prime_factors(n)``; raises as it does."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
+    return expand_divisors(prime_factors(n) if n > 1 else ())
+
+
+def expand_divisors(factors):
+    """Divisors, ascending, of the product of p**e over the (p, e) pairs
+    of a factorization."""
     found = [1]
-    for p, e in prime_factors(n) if n > 1 else ():
+    for p, e in factors:
         found += [d * p**k for k in range(1, e + 1) for d in found]
     return sorted(found)

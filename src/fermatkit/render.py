@@ -12,6 +12,7 @@ start-up.
 """
 
 from .factoring import (
+    ALGEBRAIC_SPLIT,
     BUDGET_EXHAUSTED,
     CANDIDATE_HIT,
     CANDIDATE_MISS,
@@ -26,6 +27,7 @@ from .perfect import IMPOSTER, MERSENNE_PRIME, UNRESOLVED
 _TRACE_TEXT = {
     PROPAGATED: "inherited {step.value} from exponent {step.source} "
     "(multiplicity {step.multiplicity})",
+    ALGEBRAIC_SPLIT: "split into {step.value[0]} and {step.value[1]} (Aurifeuille)",
     CANDIDATE_MISS: "tried {step.value}: miss",
     CANDIDATE_HIT: "tried {step.value}: hit (multiplicity {step.multiplicity})",
     COFACTOR_PRIME: "cofactor {step.value} is prime (candidates exhausted)",
@@ -86,7 +88,8 @@ def factor_json(n, fact, trace):
 
     The head comes from json.dumps; each trace entry from one template,
     which needs no escaping: rules are fixed names, every number is a
-    decimal string and a missing source is null.
+    decimal string, a split's value is the list of its two halves and a
+    missing source is null.
     """
     import json
     head = json.dumps({"exponent": str(n), "factorization": factorization_to_dict(fact)},
@@ -95,7 +98,9 @@ def factor_json(n, fact, trace):
     sep = "\n"
     for rule, value, source, multiplicity in _written_steps(trace):
         source = "null" if source is None else f'"{source}"'
-        yield (f'{sep}    {{\n      "rule": "{rule}",\n      "value": "{value}",\n'
+        value = ('[\n        "{}",\n        "{}"\n      ]'.format(*value)
+                 if rule == ALGEBRAIC_SPLIT else f'"{value}"')
+        yield (f'{sep}    {{\n      "rule": "{rule}",\n      "value": {value},\n'
                f'      "source": {source},\n      "multiplicity": "{multiplicity}"\n    }}')
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"

@@ -160,9 +160,9 @@ class TestCandidates:
 
     # --refined lists primitive_class(q), the class factor scans, for every
     # q >= 2: for M15 the two residues of 1 mod 30 that are +-1 mod 8, for
-    # M2 those 1 or 3 mod 8.
+    # M2 those 1 or 3 mod 8, for M64 1 mod 128.
     @pytest.mark.parametrize("q,residues,modulus,kept", [
-        (15, "1, 31", 120, (1, 31)), (2, "1, 3", 8, (1, 3))])
+        (15, "1, 31", 120, (1, 31)), (2, "1, 3", 8, (1, 3)), (64, "1", 128, (1,))])
     def test_refined_composite_and_two(self, capsys, oracle_primes, q, residues,
                                        modulus, kept):
         code, out, err = run(capsys, "candidates", "--q", str(q), "--refined",
@@ -172,7 +172,7 @@ class TestCandidates:
         assert out == (f"class for M{q}: residues {residues} mod {modulus}\n"
                        f"{len(found)} candidate primes up to 1000\n"
                        + "".join(f"{p}\n" for p in found))
-        assert len(found) == {15: 8, 2: 81}[q]
+        assert len(found) == {15: 8, 2: 81, 64: 3}[q]
         if q == 15:
             assert found == [31, 151, 241, 271, 601, 631, 751, 991]
 
@@ -387,6 +387,125 @@ status: complete
   inherited 5 from exponent 4 (multiplicity 1)
   inherited 7 from exponent 3 (multiplicity 1)
   cofactor 13 is prime (candidates exhausted)
+""",
+    "factor 60": """\
+M60 = 1152921504606846975 = 3^2·5^2·7·11·13·31·41·61·151·331·1321
+status: complete
+  inherited 3 from exponent 2 (multiplicity 2)
+  inherited 5 from exponent 4 (multiplicity 2)
+  inherited 7 from exponent 3 (multiplicity 1)
+  inherited 11 from exponent 10 (multiplicity 1)
+  inherited 13 from exponent 12 (multiplicity 1)
+  inherited 31 from exponent 5 (multiplicity 1)
+  inherited 41 from exponent 20 (multiplicity 1)
+  inherited 151 from exponent 15 (multiplicity 1)
+  inherited 331 from exponent 30 (multiplicity 1)
+  split into 61 and 1321 (Aurifeuille)
+  cofactor 61 is prime (candidates exhausted)
+  cofactor 1321 is prime (candidates exhausted)
+""",
+    "factor 36 --json": """\
+{
+  "exponent": "36",
+  "factorization": {
+    "value": "68719476735",
+    "factors": [
+      {
+        "p": "3",
+        "e": "3"
+      },
+      {
+        "p": "5",
+        "e": "1"
+      },
+      {
+        "p": "7",
+        "e": "1"
+      },
+      {
+        "p": "13",
+        "e": "1"
+      },
+      {
+        "p": "19",
+        "e": "1"
+      },
+      {
+        "p": "37",
+        "e": "1"
+      },
+      {
+        "p": "73",
+        "e": "1"
+      },
+      {
+        "p": "109",
+        "e": "1"
+      }
+    ],
+    "status": "complete",
+    "cofactor": "1"
+  },
+  "trace": [
+    {
+      "rule": "propagated",
+      "value": "3",
+      "source": "2",
+      "multiplicity": "3"
+    },
+    {
+      "rule": "propagated",
+      "value": "5",
+      "source": "4",
+      "multiplicity": "1"
+    },
+    {
+      "rule": "propagated",
+      "value": "7",
+      "source": "3",
+      "multiplicity": "1"
+    },
+    {
+      "rule": "propagated",
+      "value": "13",
+      "source": "12",
+      "multiplicity": "1"
+    },
+    {
+      "rule": "propagated",
+      "value": "19",
+      "source": "18",
+      "multiplicity": "1"
+    },
+    {
+      "rule": "propagated",
+      "value": "73",
+      "source": "9",
+      "multiplicity": "1"
+    },
+    {
+      "rule": "algebraic-split",
+      "value": [
+        "37",
+        "109"
+      ],
+      "source": null,
+      "multiplicity": "0"
+    },
+    {
+      "rule": "cofactor-prime",
+      "value": "37",
+      "source": null,
+      "multiplicity": "1"
+    },
+    {
+      "rule": "cofactor-prime",
+      "value": "109",
+      "source": null,
+      "multiplicity": "1"
+    }
+  ]
+}
 """,
     "factor 11 --json": """\
 {

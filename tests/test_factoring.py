@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -6,6 +7,7 @@ import pytest
 
 from fermatkit import factoring, primes
 from fermatkit.factoring import (
+    ALGEBRAIC_SPLIT,
     BUDGET_EXHAUSTED,
     CANDIDATE_HIT,
     CANDIDATE_MISS,
@@ -96,11 +98,24 @@ class TestFactorMersenne:
     def test_refined_matches_unrefined_to_128(self, cold_memo):
         # The benchmark's exponents and M122, at its budget: the narrower
         # classes of composite n find the same factors and stop in the
-        # same state.
+        # same state, but for M116. Its part, of 57 bits, splits into
+        # Aurifeuille's halves 107,367,629 and 536,903,681, each proven
+        # prime inside the budget, where the whole part's scan stops short
+        # of its square root; sympy gives the same primes.
         for n in range(2, 129):
             refined, _ = factor_mersenne(n, 10**7, refined=True)
             plain, _ = factor_mersenne(n, 10**7, refined=False)
-            assert refined == plain, n
+            if n == 116:
+                m116 = refined, plain
+            else:
+                assert refined == plain, n
+        refined, plain = m116
+        assert (refined.status, plain.status) == (COMPLETE, PARTIAL)
+        factorint = pytest.importorskip("sympy").factorint
+        assert dict(refined.factors) == factorint(mersenne(116))
+        assert plain.unresolved_cofactor == 107367629 * 536903681
+        assert plain.factors == tuple((p, e) for p, e in refined.factors
+                                      if p not in (107367629, 536903681))
 
 
 class TestTrace:
@@ -123,6 +138,31 @@ class TestTrace:
             phi = int(sympy.cyclotomic_poly(n, 2))
             part = factoring._primitive_part(n, dict(prime_factors(n)))
             assert part == phi // sympy.gcd(phi, n), n
+
+    def test_aurifeuille_halves_are_coprime_and_make_the_part(self):
+        # For n = 4h, h odd: the halves of Phi_n(2) over its gcd with n,
+        # from sympy, both exceed 1 from n = 28 on; for 4, 12 and 20 the
+        # first factor of 2**(2h) + 1, 1, 5 and 25, shares no prime with
+        # the part, so there is no split.
+        sympy = pytest.importorskip("sympy")
+        for n in range(4, 257, 8):
+            phi = int(sympy.cyclotomic_poly(n, 2))
+            part = phi // math.gcd(phi, n)
+            first = next(factoring._refined_scan(n, part, 1))
+            if n in (4, 12, 20):
+                assert first.rule != ALGEBRAIC_SPLIT, n
+                continue
+            assert first.rule == ALGEBRAIC_SPLIT, n
+            low, high = first.value
+            assert (low * high, math.gcd(low, high)) == (part, 1), n
+            assert min(low, high) > 1, n
+
+    def test_trivial_splits_keep_their_traces(self):
+        assert factor_mersenne(4)[1].steps == (
+            TraceStep(PROPAGATED, 3, 2, 1), TraceStep(COFACTOR_PRIME, 5, multiplicity=1))
+        assert factor_mersenne(12)[1].steps == (
+            TraceStep(PROPAGATED, 3, 2, 2), TraceStep(PROPAGATED, 5, 4, 1),
+            TraceStep(PROPAGATED, 7, 3, 1), TraceStep(COFACTOR_PRIME, 13, multiplicity=1))
 
     def test_candidate_hits_are_primitive(self):
         for n in range(2, 41):
@@ -151,6 +191,11 @@ class TestTrace:
         # M55's first candidate is 881, not 331 or 661, which are 1 mod 110
         # but 3 and 5 mod 8.
         assert factor_mersenne(55)[1].candidates_tried()[:2] == [881, 991]
+        # For 8 | n, 1 mod 2n: F_5 = 2**32 + 1, M64's part, tries 257 and
+        # then 641 (Lucas's 1 mod 128), not 193 first.
+        _, trace = factor_mersenne(64)
+        assert trace.candidates_tried()[:2] == [257, 641]
+        assert trace.hits() == [641]
         for n in range(2, 71):
             cls = primitive_class(n)
             tried = factor_mersenne(n, budget=10**5)[1].candidates_tried()
@@ -297,8 +342,11 @@ class TestCompleteCache:
         assert calls == [(part(d), primitive_class(d), None)
                          for d in self.DIVISORS if d != 6] + [
                          (part(60), generalized_class(60), None)]
+        # The refined call scans 60's own part as Aurifeuille's halves.
         refined, refined_trace = factor_mersenne(60)
-        assert calls[10:] == [(part(60), primitive_class(60), None)]
+        assert part(60) == 61 * 1321
+        assert calls[10:] == [(61, primitive_class(60), None),
+                              (1321, primitive_class(60), None)]
         assert plain == refined
         assert ([s for s in plain_trace.steps if s.rule == PROPAGATED]
                 == [s for s in refined_trace.steps if s.rule == PROPAGATED])
@@ -341,11 +389,12 @@ class TestClassSieveScan:
         # inside a segment leaves the rest of it untried, so the surplus of
         # yielded over tried primes is bounded only for scans whose stop
         # no hit lowered. A segment that started a bytearray was sieved;
-        # one that did not was read from the base sieve's flags. From the
-        # base sieve, to BASE = 2**16, segments growing 8x sieve 128
-        # segments and read 259; from flags to 1024 they sieve 243, and
-        # with none read, 334; and ended at a stop's k, so that the prime
-        # past it takes a segment more, they sieve 170. The exact count
+        # one that did not was read from the base sieve's flags. The job
+        # makes 204 scans, each half of an Aurifeuille split its own. From
+        # the base sieve, to BASE = 2**16, segments growing 8x sieve 124
+        # segments and read 269; from flags to 1024 they sieve 231, and
+        # with none read, 341; and ended at a stop's k, so that the prime
+        # past it takes a segment more, they sieve 165. The exact count
         # keeps the schedule, the flag read, the base sieve's reach and the
         # segment's reach past the stop there.
         scan, segments, scans = factoring.class_scan, factoring.class_segments, []
@@ -381,8 +430,8 @@ class TestClassSieveScan:
         for n in range(2, 129):
             if n != 122:
                 factor_mersenne(n, budget=10**7)
-        assert len(scans) == 186
-        assert sum(r["sieved"] for r in scans) == 128
+        assert len(scans) == 204
+        assert sum(r["sieved"] for r in scans) == 124
         for r in scans:
             one_segment = primes._FIRST_SEGMENT * len(r["cls"].residues)
             past = [p for p in r["yielded"] if p > r["first_stop"]]

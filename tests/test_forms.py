@@ -119,10 +119,14 @@ class TestEulerRefinedClass:
 class TestPrimitiveClass:
     def test_two_residues_mod_8h_unless_0_mod_4(self):
         # h = n for odd n and n/2 for n = 2 mod 4: two of the four members
-        # of [1, 8h) that are 1 mod 2h, 1 among them.
+        # of [1, 8h) that are 1 mod 2h, 1 among them. For 8 | n the class
+        # is 1 mod 2n, for n = 4 mod 8 the plain 1 mod n.
         for n in range(2, 1000):
             cls = primitive_class(n)
             assert cls.target_exponent == n
+            if n % 8 == 0:
+                assert (cls.modulus, cls.residues) == (2 * n, frozenset({1}))
+                continue
             if n % 4 == 0:
                 assert cls == generalized_class(n)
                 continue
@@ -132,13 +136,14 @@ class TestPrimitiveClass:
             assert all(r % (2 * h) == 1 for r in cls.residues)
 
     def test_every_primitive_prime_lies_in_the_class(self):
-        # sympy factors 2**n - 1 and gives each prime's order of 2, the
-        # primes of order n being the primitive ones. Every n <= 64 has one
-        # but 6 (Zsigmondy, 1892).
+        # sympy factors Phi_n(2), which holds every prime of 2**n - 1 of
+        # order n, and gives each prime's order of 2, the primes of order n
+        # being the primitive ones. Every n <= 128 has one but 6
+        # (Zsigmondy, 1892).
         sympy = pytest.importorskip("sympy")
-        for n in range(2, 65):
+        for n in range(2, 129):
             cls = primitive_class(n)
-            primitive = [q for q in sympy.factorint(mersenne(n))
+            primitive = [q for q in sympy.factorint(int(sympy.cyclotomic_poly(n, 2)))
                          if sympy.n_order(2, q) == n]
             assert primitive or n == 6
             for q in primitive:

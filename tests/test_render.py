@@ -12,7 +12,9 @@ def expected_json(n, fact, trace):
     for s in trace.steps:
         members = s.value if s.rule == "candidate-miss-run" else None
         if members is None:
-            entries.append({"rule": s.rule, "value": str(s.value),
+            value = (list(map(str, s.value)) if s.rule == "algebraic-split"
+                     else str(s.value))
+            entries.append({"rule": s.rule, "value": value,
                             "source": None if s.source is None else str(s.source),
                             "multiplicity": str(s.multiplicity)})
         else:
@@ -35,7 +37,7 @@ def expected_json(n, fact, trace):
     (12, None, True),     # inherited only
     (37, None, False),    # miss run, hit, cofactor prime
     (37, 200, True),      # miss run, budget
-    (44, None, True),     # inherited, miss run, hit, cofactor prime
+    (44, None, True),     # inherited, split, cofactor prime twice
     (59, 10**4, True),    # miss run, hit, miss run, budget
     (64, None, True),     # inherited, hits
 ])
