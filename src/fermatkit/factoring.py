@@ -15,9 +15,11 @@ hit, and the M31 replay reads its trace.
 ``factor_nat`` wraps ``primes.prime_factors``.
 
 The scan yields the trace, and the factors are read off its steps. It
-keeps every candidate tried, but not one step per candidate: each maximal
-run of misses is one MISS_RUN step, so a trace holds O(hits) steps and
-its shape does not depend on where segments end.
+keeps every candidate tried, but not one step per candidate: the scan
+yields one MISS_RUN step per segment it misses through, so it holds at
+most one segment's misses, and ``factor_mersenne`` joins adjacent runs,
+so a trace holds O(hits) steps and its shape does not depend on where
+segments end.
 """
 
 import bisect
@@ -70,8 +72,9 @@ class TraceStep(Record, namedtuple(
 
 
 class FactorTrace(Record, namedtuple("FactorTrace", "steps")):
-    """The steps of one factor_mersenne call, in order. Runs are maximal:
-    no MISS_RUN step follows another, so equal scans give equal traces."""
+    """The steps of one factor_mersenne call, in order. Runs are maximal,
+    joined from the scan's runs per segment: no MISS_RUN step follows
+    another, so equal scans give equal traces."""
 
     __slots__ = ()
 
@@ -134,8 +137,16 @@ def factor_mersenne(n, budget=None, refined=True):
 
     part = _primitive_part(n, lift)
     if part > 1:
-        steps += (_refined_scan(n, part, budget) if refined
-                  else class_scan(part, generalized_class(n), budget))
+        scan = (_refined_scan(n, part, budget) if refined
+                else class_scan(part, generalized_class(n), budget))
+        # The scan yields a run per segment; the trace joins adjacent runs,
+        # extending one list, which is faster than chaining the tuples.
+        for rule, run in itertools.groupby(scan, operator.attrgetter("rule")):
+            run = list(run)
+            if rule == MISS_RUN and len(run) > 1:
+                run = [TraceStep(MISS_RUN, tuple(functools.reduce(
+                    operator.iadd, (s.value for s in run), [])))]
+            steps += run
 
     # Only the steps that divide something out carry a multiplicity.
     factors = tuple(sorted((s.value, s.multiplicity) for s in steps if s.multiplicity))
@@ -188,8 +199,9 @@ def class_scan(cofactor, cls, budget=None):
     """Divide cofactor by the primes of cls, ascending, yielding TraceSteps.
 
     Each segment is cut at stop = min(isqrt(cofactor), budget) and searched
-    for its first divisor in one pass; the candidates before it extend the
-    pending run of misses, one MISS_RUN step once a hit or the end follows.
+    for its first divisor in one pass; the candidates before it, if any,
+    are one MISS_RUN step, so the scan holds at most one segment's misses
+    and a run of misses may span several steps.
     A segment read to its end sends stop to the walk, so the candidate
     past the stop that ends the scan seldom takes a segment more; how each
     segment is sieved and read is ``primes.class_segments``' to say.
@@ -197,24 +209,19 @@ def class_scan(cofactor, cls, budget=None):
     BUDGET_EXHAUSTED; a caller may stop reading at any step.
     """
     limit = isqrt(cofactor)
-    misses = []
     segments = class_segments(cls)
     segment, i = next(segments), 0
     while True:
         stop = limit if budget is None else min(limit, budget)
         end = bisect.bisect_right(segment, stop, i)
-        try:
-            j = i + operator.indexOf(
-                map(cofactor.__mod__, itertools.islice(segment, i, end)), 0)
-        except ValueError:
-            j = end
-        misses += segment[i:j]
+        # The first divisor before the stop, else end: a sentinel 0 stands there.
+        j = i + operator.indexOf(itertools.chain(
+            map(cofactor.__mod__, itertools.islice(segment, i, end)), (0,)), 0)
+        if j > i:
+            yield TraceStep(MISS_RUN, tuple(segment[i:j]))
         if j == len(segment):
             segment, i = segments.send(stop), 0
             continue
-        if misses:
-            yield TraceStep(MISS_RUN, tuple(misses))
-            misses = []
         c = segment[j]
         if j == end:  # c is the first candidate past stop
             if c > limit:
@@ -236,7 +243,8 @@ def class_scan(cofactor, cls, budget=None):
 
 
 def verify(f):
-    """Recheck a Factorization: product, factor primality, status flags.
+    """Recheck a Factorization: product, factor primality, status flags,
+    strictly ascending primes, and none left in the unresolved cofactor.
 
     Each factor's primality is rechecked by ``is_prime``, a base flag or
     the strong test; a factor at or above ``primes.PSI13`` with no prime
@@ -244,12 +252,12 @@ def verify(f):
     """
     product = f.unresolved_cofactor
     for p, e in f.factors:
-        if e < 1 or not is_prime(p):
+        if e < 1 or not is_prime(p) or f.unresolved_cofactor % p == 0:
             return False
         product *= p**e
     if product != f.value:
         return False
-    if list(f.factors) != sorted(f.factors):
+    if any(p >= q for (p, _), (q, _) in itertools.pairwise(f.factors)):
         return False
     if f.status == COMPLETE:
         return f.unresolved_cofactor == 1

@@ -22,7 +22,7 @@ UNRESOLVED = "unresolved"
 
 # The largest witness frenicle_scan looks for by default. It lies past
 # Cole's 193,707,721 for M67, so every p <= 100 keeps its witness, and it
-# bounds the misses one scan holds: M101's least factor is 7.4e12.
+# bounds the time of each scan: M101's least factor is 7.4e12.
 FRENICLE_BUDGET = 1 << 28
 
 
@@ -98,8 +98,9 @@ def frenicle_scan(min_digits, max_exponent, budget=FRENICLE_BUDGET):
     ``factoring.class_scan`` over its class (``euler_refined_class``)
     finds a prime factor up to budget: its first hit, the witness. Else it
     is unresolved (composite, no witness within budget). So the witness is
-    the least prime factor only within budget. budget bounds the time and
-    the memory of each scan, which holds its misses, so it cannot be None.
+    the least prime factor only within budget. budget bounds the time of
+    each scan, which holds at most one segment's misses, so it cannot be
+    None.
     """
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")

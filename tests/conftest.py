@@ -7,7 +7,8 @@ import signal
 import pytest
 
 # Seconds any one test may run, where the platform has SIGALRM; the
-# slowest test takes about 3 s on a 2-core host.
+# slowest test, a class scan under tracemalloc, takes about 9 s on a
+# 2-core host.
 TIME_LIMIT = 60
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -280,6 +281,13 @@ class TestVerify:
     def test_rejects_descending_factors(self):
         assert not verify(Factorization(6, ((3, 1), (2, 1)), COMPLETE))
 
+    def test_rejects_a_repeated_prime(self):
+        assert not verify(Factorization(9, ((3, 1), (3, 1)), COMPLETE))
+
+    def test_rejects_a_prime_left_in_the_cofactor(self):
+        # The product is 36, but 3 divides it twice: its multiplicity is 2.
+        assert not verify(Factorization(36, ((2, 2), (3, 1)), PARTIAL, 3))
+
     def test_rejects_an_unknown_status(self):
         assert not verify(Factorization(6, ((2, 1), (3, 1)), "unknown"))
 
@@ -450,6 +458,35 @@ class TestClassSieveScan:
         clear_cache()
         monkeypatch.setattr(primes, "BASE", 1 << 10)
         assert [factor_mersenne(n, budget=10**7) for n in exponents] == base
+
+    def test_the_scan_yields_a_run_per_segment(self, class_walk):
+        # M61 has no factor below 10**7: the scan misses through five
+        # segments, each its own run, and factor_mersenne joins them into
+        # one, so its trace does not depend on where segments end.
+        cls = primitive_class(61)
+        steps = list(factoring.class_scan(mersenne(61), cls, 10**7))
+        assert [s.rule for s in steps] == [MISS_RUN] * 5 + [BUDGET_EXHAUSTED]
+        members = [c for s in steps[:-1] for c in s.value]
+        assert len(members) == 5444
+        assert members == list(class_walk(cls, 10**7))
+        _, trace = factor_mersenne(61, 10**7)
+        assert [s.rule for s in trace.steps] == [MISS_RUN, BUDGET_EXHAUSTED]
+        assert list(trace.steps[0].value) == members
+
+    def test_a_scan_holds_one_segment_of_misses(self):
+        # M101's least factor, about 7.4e12, lies past 10**9: the scan walks
+        # 254,044 class primes in 24 segments before its budget runs out.
+        # Holding every miss until then, it peaked at 12.6 MiB. tracemalloc
+        # makes the scan about 50x slower, some 9 s on a 2-core host.
+        scan = factoring.class_scan(mersenne(101), primitive_class(101), 10**9)
+        tracemalloc.start()
+        try:
+            last = next(s for s in scan if s.rule != MISS_RUN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert last == TraceStep(BUDGET_EXHAUSTED, 10**9)
+        assert peak < 4 << 20
 
     def test_m61_completes_unbudgeted(self, cold_memo):
         fact, trace = factor_mersenne(61)

@@ -8,6 +8,7 @@ import pytest
 
 import fermatkit
 from fermatkit.perfect import (
+    FRENICLE_BUDGET,
     IMPOSTER,
     MERSENNE_PRIME,
     UNRESOLVED,
@@ -187,7 +188,7 @@ class TestFrenicleScan:
             frenicle_scan(1, 1)
         with pytest.raises(ValueError, match="budget"):
             frenicle_scan(20, 37, budget=0)
-        # Each scan holds its misses, so an unbounded one grows in memory.
+        # A scan's memory is bounded, but an unbounded one's time is not.
         with pytest.raises(ValueError, match="budget"):
             frenicle_scan(20, 37, budget=None)
 
@@ -222,23 +223,39 @@ class TestFrenicleScan:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_default_budget_to_127_peaks_below_64_mib(self):
-        # Three exponents to 127 end unresolved, each scan holding every
-        # class prime it missed up to the default budget. A wrapper waits
-        # for the scan alone, so RUSAGE_CHILDREN reads the scan's own peak.
-        src = os.path.dirname(os.path.dirname(fermatkit.__file__))
-        scan = (
-            f"import sys; sys.path.insert(0, {src!r})\n"
-            "from fermatkit.perfect import UNRESOLVED, frenicle_scan\n"
-            "report = frenicle_scan(20, 127)\n"
-            "print(sum(v.verdict == UNRESOLVED for v in report.examined), flush=True)\n"
-        )
-        script = (
-            "import resource, subprocess, sys\n"
-            f"subprocess.run([sys.executable, '-c', {scan!r}], check=True)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=60, check=True)
-        unresolved, peak_kib = map(int, proc.stdout.split())
+        # Three exponents to 127 end unresolved, each scan reading every
+        # class prime up to the default budget, one segment at a time.
+        unresolved, peak_kib = frenicle_peak(FRENICLE_BUDGET)
         assert unresolved == 3
         assert peak_kib / 1024 < 64
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_does_not_grow_with_the_budget(self):
+        # A scan holds at most one segment's misses, so 8x the default
+        # budget walks 8x as far in the same memory. Holding every miss
+        # until a hit, the scans peaked at 20 and 44 MiB.
+        _, low = frenicle_peak(FRENICLE_BUDGET)
+        _, high = frenicle_peak(8 * FRENICLE_BUDGET)
+        assert (high - low) / 1024 < 4
+
+
+def frenicle_peak(budget):
+    """(unresolved exponents, peak KiB) of frenicle_scan(20, 127, budget),
+    run in a process of its own. A wrapper waits for the scan alone, so
+    RUSAGE_CHILDREN reads the scan's own peak."""
+    src = os.path.dirname(os.path.dirname(fermatkit.__file__))
+    scan = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from fermatkit.perfect import UNRESOLVED, frenicle_scan\n"
+        f"report = frenicle_scan(20, 127, {budget})\n"
+        "print(sum(v.verdict == UNRESOLVED for v in report.examined), flush=True)\n"
+    )
+    script = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {scan!r}], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    unresolved, peak_kib = map(int, proc.stdout.split())
+    return unresolved, peak_kib
